@@ -2,6 +2,7 @@
 //!
 //! Times the primitives the optimization work targets — one-shot vs
 //! incremental SHA-256, scalar vs midstate vs multi-lane `h^1000`, the
+//! dispatched per-entry-salt batch path on the kernel this CPU selects, the
 //! 5-click verify path with and without scratch reuse, and the batched vs
 //! per-entry brute force — and writes `BENCH_results.json` (or the path in
 //! `GP_BENCH_OUT`).  CI runs this after the test suite so every change
@@ -11,7 +12,9 @@
 
 use gp_attacks::{ClickPointPool, OfflineKnownGridAttack};
 use gp_bench::report::BenchReport;
-use gp_crypto::{iterated_hash, iterated_hash_reference, SaltedHasher, Sha256};
+use gp_crypto::{
+    iterated_hash, iterated_hash_many_salted_into, iterated_hash_reference, SaltedHasher, Sha256,
+};
 use gp_geometry::{ImageDims, Point};
 use gp_passwords::prelude::*;
 use gp_passwords::VerifyScratch;
@@ -133,6 +136,26 @@ fn main() {
         })*};
     }
     lane_bench!(2, 4, 8, 16);
+
+    // Per-entry-salt batches through the public dispatcher, in the
+    // server's two-block round shape (a 40-byte salt), at a lightly loaded
+    // node's batch of 1, a partial batch of 4 and a full batch of 16.
+    // These rows time whichever kernel this CPU selects.
+    eprintln!(
+        "[bench_report] iterated-hash kernel: {}",
+        gp_crypto::active_kernel()
+    );
+    let server_hasher = SaltedHasher::new(&[0x42u8; 40]);
+    for n in [1usize, 4, 16] {
+        let hashers = vec![&server_hasher; n];
+        let per_msg = report.measure(&format!("h1000/many_salted_{n}_batch_40B_salt"), || {
+            iterated_hash_many_salted_into(&hashers, &refs[..n], 1000, &mut out);
+            std::hint::black_box(&out);
+        }) / n as f64;
+        report
+            .results
+            .push((format!("h1000/many_salted_{n}_per_msg_40B_salt"), per_msg));
+    }
 
     // --- Full 5-click verify: fresh allocations vs scratch reuse. ---
     let clicks: Vec<Point> = vec![

@@ -17,17 +17,39 @@ use crate::ct::ct_eq;
 use crate::sha256::{
     compress, compress_lanes, state_to_digest, Digest, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN,
 };
+use crate::sha_ni::ShaNi;
 
-/// Number of interleaved hash lanes used by the batched entry points
-/// ([`iterated_hash_many`], [`SaltedHasher::iterated_many`]).
+/// Number of interleaved hash lanes in the portable batched path
+/// ([`iterated_hash_many`], [`SaltedHasher::iterated_many`]), the one CPUs
+/// without SHA-NI take; it is also the batch size the serving layer
+/// coalesces logins to.
 ///
 /// Independent SHA-256 chains interleaved in one compression loop sidestep
 /// the serial round-to-round dependency of a single hash: the lane loop
 /// bodies are element-wise u32 operations over adjacent memory, which LLVM
 /// auto-vectorizes.  16 lanes (one cache line of u32s per schedule round)
 /// is the sweet spot measured by the `micro_primitives` lane-sweep bench —
-/// ~5× the scalar throughput with AVX2, ~11× with AVX-512.
+/// about 5× the portable scalar chain's throughput under the committed
+/// `x86-64-v3` (AVX2) build, about 8× under `x86-64-v4` (AVX-512).  With
+/// SHA-NI the batched entry points run four chains per kernel call instead
+/// (see [`active_kernel`]).
 pub const LANES: usize = 16;
+
+/// Chains the SHA-NI kernel interleaves per call in the batched entry
+/// points; a batch's last 1–3 chains run as a narrower call.
+const SHA_NI_STREAMS: usize = 4;
+
+/// The compression kernel the iterated-hash entry points use on this CPU:
+/// `"sha_ni"` when [`ShaNi::detect`] finds the SHA extensions, otherwise
+/// `"portable"` (the scalar chain and the auto-vectorized [`LANES`]-lane
+/// kernel).  Both produce bit-identical digests; the choice is made per
+/// call, by detection only.
+pub fn active_kernel() -> &'static str {
+    match ShaNi::detect() {
+        Some(_) => "sha_ni",
+        None => "portable",
+    }
+}
 
 /// Apply SHA-256 `iterations` times to `salt || message`:
 /// `h(salt || h(salt || … h(salt || message)))`.
@@ -53,8 +75,7 @@ pub fn iterated_hash(salt: &[u8], message: &[u8], iterations: u32) -> Digest {
 }
 
 /// Batched [`iterated_hash`]: one digest per message, all under the same
-/// salt, computed [`LANES`] messages at a time through the interleaved
-/// multi-lane compressor.
+/// salt, with independent chains interleaved through the batched kernel.
 ///
 /// Bit-identical to mapping [`iterated_hash`] over `messages` (there is a
 /// proptest proving it), but substantially faster for the offline-attack
@@ -66,15 +87,14 @@ pub fn iterated_hash_many(salt: &[u8], messages: &[&[u8]], iterations: u32) -> V
 /// Batched iterated hashing where every message carries its *own* salt —
 /// the authentication-server shape, where concurrent login attempts from
 /// different accounts (hence different per-user salts) are coalesced into
-/// one multi-lane run.
+/// one batched run.
 ///
 /// Bit-identical to calling [`SaltedHasher::iterated`] per entry (there is
-/// an equivalence test), but the rounds of up to [`LANES`] entries are
-/// interleaved through the same vectorized compressor that powers
-/// [`iterated_hash_many`].  Entries are grouped internally by
-/// `blocks_per_round` (salts of different lengths may pad to a different
-/// number of compression blocks), so mixed-length salts are handled
-/// correctly at full speed.
+/// an equivalence test), but the entries' rounds are interleaved through
+/// the same batched kernel that powers [`iterated_hash_many`].  Entries
+/// are grouped internally by `blocks_per_round` (salts of different
+/// lengths may pad to a different number of compression blocks), so
+/// mixed-length salts are handled correctly at full speed.
 ///
 /// `hashers` and `messages` must have equal length.
 pub fn iterated_hash_many_salted(
@@ -90,6 +110,18 @@ pub fn iterated_hash_many_salted(
 /// [`iterated_hash_many_salted`] writing into a caller-provided buffer, so
 /// a steady-state serving loop performs no per-batch output allocation.
 pub fn iterated_hash_many_salted_into(
+    hashers: &[&SaltedHasher],
+    messages: &[&[u8]],
+    iterations: u32,
+    out: &mut Vec<Digest>,
+) {
+    many_salted_into(ShaNi::detect(), hashers, messages, iterations, out);
+}
+
+/// [`iterated_hash_many_salted_into`] on the SHA-NI kernel when `sha_ni`
+/// is `Some`, else on the portable kernels.
+fn many_salted_into(
+    sha_ni: Option<ShaNi>,
     hashers: &[&SaltedHasher],
     messages: &[&[u8]],
     iterations: u32,
@@ -111,10 +143,11 @@ pub fn iterated_hash_many_salted_into(
     if rounds == 1 {
         return;
     }
+    let template = |i: usize| hashers[i].template;
 
-    // Lanes must share the per-round block count, so bucket entry indices
-    // by `blocks_per_round` (1 for salts ≤ 23 bytes mod 64, else 2) and run
-    // the lane kernel bucket by bucket.
+    // Chains interleaved in one kernel call must share the per-round block
+    // count, so bucket entry indices by `blocks_per_round` (1 for salts
+    // ≤ 23 bytes mod 64, else 2) and run the kernel bucket by bucket.
     let mut order: Vec<usize> = (0..hashers.len()).collect();
     order.sort_by_key(|&i| hashers[i].blocks_per_round());
     let mut start = 0;
@@ -125,83 +158,131 @@ pub fn iterated_hash_many_salted_into(
             .take_while(|&&i| hashers[i].blocks_per_round() == bpr)
             .count();
         let group = &order[start..start + len];
-        let mut chunks = group.chunks_exact(LANES);
-        for lane_indices in chunks.by_ref() {
-            run_salted_lanes::<LANES>(hashers, lane_indices, bpr, rounds, out);
-        }
-        // Run the bucket's tail through a *padded* lane pass instead of
-        // falling back to one scalar chain per entry.  This is
-        // load-bearing for serving batches with mixed salt lengths: one
-        // fresh enrollment coalesced with a run of short-salt logins
-        // splits the batch into two buckets, and before this dispatch
-        // *both* sides of the split decayed to scalar remainders (a 1+15
-        // split hashed ~5x slower than a uniform 16-lane run).
-        //
-        // Thresholds are measured, not guessed: a scalar chain costs
-        // ~0.26x of a full-width pass and a 4-lane pass ~0.85x (narrower
-        // kernels barely help — the per-round schedule work doesn't
-        // shrink with lane count, and 8 lanes actively defeats the
-        // autovectorizer), so tails of 1-3 stay scalar, exactly 4 takes
-        // the 4-lane kernel, and anything larger pads to full width.
-        let tail = chunks.remainder();
-        match tail.len() {
-            0 => {}
-            1..=3 => {
-                for &i in tail {
-                    let mut template = hashers[i].template;
-                    let mut digest = out[i];
-                    for _ in 1..rounds {
-                        digest = template.advance(&digest);
-                    }
-                    out[i] = digest;
+        match sha_ni {
+            // Four streams per call and a 1–3-stream tail: every stream is
+            // a real entry, so a short bucket costs no padding.
+            Some(ni) => {
+                for lanes in group.chunks(SHA_NI_STREAMS) {
+                    run_sha_ni(ni, lanes, template, rounds, out);
                 }
             }
-            4 => run_salted_lanes::<4>(hashers, tail, bpr, rounds, out),
-            _ => run_salted_lanes::<LANES>(hashers, tail, bpr, rounds, out),
+            None => run_portable(group, template, rounds, out),
         }
         start += len;
     }
 }
 
-/// One interleaved pass of up to `L` same-`blocks_per_round` entries
-/// through the lane compressor.  Unlike the shared-salt kernel, each lane
-/// carries its own salt tail, digest offset and initial state.
-///
-/// `lane_indices` may hold fewer than `L` entries: spare lanes are padded
-/// with copies of the first entry's template and digest chain, so they
-/// redundantly recompute entry 0 and their results are discarded.  Padding
-/// keeps the pass at one lane-kernel run regardless of fill — the whole
-/// point, since `L` scalar chains cost far more than one mostly-idle
-/// vectorized pass.
-fn run_salted_lanes<const L: usize>(
-    hashers: &[&SaltedHasher],
-    lane_indices: &[usize],
-    bpr: usize,
+/// The portable kernels over one `blocks_per_round` bucket: full
+/// [`LANES`]-lane passes, then the tail.
+fn run_portable(
+    group: &[usize],
+    template: impl Fn(usize) -> RoundTemplate + Copy,
     rounds: u32,
     out: &mut [Digest],
 ) {
-    debug_assert!(!lane_indices.is_empty() && lane_indices.len() <= L);
-    // Pad lanes mirror entry 0: they read its digest slot each round
-    // (before any lane writes back) and never write their own.
-    let entry = |l: usize| lane_indices[if l < lane_indices.len() { l } else { 0 }];
-    let mut templates: [RoundTemplate; L] = core::array::from_fn(|l| hashers[entry(l)].template);
+    let mut chunks = group.chunks_exact(LANES);
+    for lanes in chunks.by_ref() {
+        run_lanes::<LANES>(lanes, template, rounds, out, compress_lanes);
+    }
+    // Run the bucket's tail through a *padded* lane pass instead of
+    // falling back to one scalar chain per entry.  This is load-bearing
+    // for serving batches with mixed salt lengths on the portable path:
+    // one fresh enrollment coalesced with a run of short-salt logins
+    // splits the batch into two buckets, and without this dispatch *both*
+    // sides of the split would decay to scalar remainders (a 1+15 split
+    // hashed ~5x slower than a uniform 16-lane run).
+    //
+    // Thresholds are measured for the portable kernels under the AVX2
+    // build, not guessed: a scalar chain costs ~0.26x of a full-width
+    // pass and a 4-lane pass ~0.85x (narrower kernels barely help — the
+    // per-round schedule work doesn't shrink with lane count, and 8 lanes
+    // actively defeats the autovectorizer), so tails of 1-3 stay scalar,
+    // exactly 4 takes the 4-lane kernel, and anything larger pads to full
+    // width.
+    let tail = chunks.remainder();
+    match tail.len() {
+        0 => {}
+        1..=3 => {
+            for lane in tail.chunks(1) {
+                run_lanes::<1>(lane, template, rounds, out, compress_one);
+            }
+        }
+        4 => run_lanes::<4>(tail, template, rounds, out, compress_lanes),
+        _ => run_lanes::<LANES>(tail, template, rounds, out, compress_lanes),
+    }
+}
+
+/// One SHA-NI call sequence over 1–[`SHA_NI_STREAMS`] entries, one stream
+/// per entry.
+fn run_sha_ni(
+    ni: ShaNi,
+    lanes: &[usize],
+    template: impl Fn(usize) -> RoundTemplate,
+    rounds: u32,
+    out: &mut [Digest],
+) {
+    match lanes.len() {
+        1 => run_lanes::<1>(lanes, template, rounds, out, |s, b| ni.compress(s, b)),
+        2 => run_lanes::<2>(lanes, template, rounds, out, |s, b| ni.compress(s, b)),
+        3 => run_lanes::<3>(lanes, template, rounds, out, |s, b| ni.compress(s, b)),
+        4 => run_lanes::<4>(lanes, template, rounds, out, |s, b| ni.compress(s, b)),
+        n => unreachable!("{n} entries for at most {SHA_NI_STREAMS} SHA-NI streams"),
+    }
+}
+
+/// The portable scalar compression in the kernel shape [`advance_chains`]
+/// takes.
+fn compress_one(states: &mut [[u32; 8]; 1], blocks: [&[u8; BLOCK_LEN]; 1]) {
+    compress(&mut states[0], blocks[0]);
+}
+
+/// One interleaved pass of up to `L` same-`blocks_per_round` entries of
+/// `out`, entry `i` carrying its own salt layout `template(i)`: each
+/// chain advances from its first-round digest in `out` to its final one.
+///
+/// `lanes` may hold fewer than `L` entries: spare chains are padded with
+/// copies of the first entry, so they redundantly recompute it and their
+/// results are discarded.  Padding keeps a short portable bucket at one
+/// wide-kernel pass, since `L` scalar chains cost far more than one mostly
+/// idle vectorized pass.
+fn run_lanes<const L: usize>(
+    lanes: &[usize],
+    template: impl Fn(usize) -> RoundTemplate,
+    rounds: u32,
+    out: &mut [Digest],
+    compress: impl Fn(&mut [[u32; 8]; L], [&[u8; BLOCK_LEN]; L]),
+) {
+    debug_assert!(!lanes.is_empty() && lanes.len() <= L);
+    let entry = |l: usize| lanes[if l < lanes.len() { l } else { 0 }];
+    let mut templates: [RoundTemplate; L] = core::array::from_fn(|l| template(entry(l)));
+    let mut digests: [Digest; L] = core::array::from_fn(|l| out[entry(l)]);
+    advance_chains(&mut templates, &mut digests, rounds, compress);
+    for (&i, digest) in lanes.iter().zip(&digests) {
+        out[i] = *digest;
+    }
+}
+
+/// Advance `L` independent chains from round 1 to round `rounds`: each
+/// round hashes `salt || digest` under chain `l`'s template, with
+/// `compress` absorbing one block of every chain per call.  The templates
+/// must share `blocks_per_round`.
+fn advance_chains<const L: usize>(
+    templates: &mut [RoundTemplate; L],
+    digests: &mut [Digest; L],
+    rounds: u32,
+    compress: impl Fn(&mut [[u32; 8]; L], [&[u8; BLOCK_LEN]; L]),
+) {
+    let blocks = templates[0].blocks;
+    debug_assert!(templates.iter().all(|t| t.blocks == blocks));
     for _ in 1..rounds {
-        for l in 0..L {
-            let t = &mut templates[l];
-            t.buffer[t.digest_offset..t.digest_offset + DIGEST_LEN].copy_from_slice(&out[entry(l)]);
+        for (t, digest) in templates.iter_mut().zip(digests.iter()) {
+            t.buffer[t.digest_offset..t.digest_offset + DIGEST_LEN].copy_from_slice(digest);
         }
         let mut states: [[u32; 8]; L] = core::array::from_fn(|l| templates[l].initial_state);
-        for b in 0..bpr {
-            let blocks: [&[u8; BLOCK_LEN]; L] = core::array::from_fn(|l| {
-                templates[l].buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
-                    .try_into()
-                    .expect("exact block")
-            });
-            compress_lanes(&mut states, blocks);
+        for b in 0..blocks {
+            compress(&mut states, core::array::from_fn(|l| templates[l].block(b)));
         }
-        for (l, &i) in lane_indices.iter().enumerate() {
-            out[i] = state_to_digest(&states[l]);
-        }
+        *digests = core::array::from_fn(|l| state_to_digest(&states[l]));
     }
 }
 
@@ -282,15 +363,11 @@ impl RoundTemplate {
         self.blocks
     }
 
-    /// One round: `h(salt || digest)`.
-    fn advance(&mut self, digest: &Digest) -> Digest {
-        self.buffer[self.digest_offset..self.digest_offset + DIGEST_LEN].copy_from_slice(digest);
-        let mut state = self.initial_state;
-        for chunk in self.buffer[..self.blocks * BLOCK_LEN].chunks_exact(BLOCK_LEN) {
-            let block: &[u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
-            compress(&mut state, block);
-        }
-        state_to_digest(&state)
+    /// The round's `b`-th padded block.
+    fn block(&self, b: usize) -> &[u8; BLOCK_LEN] {
+        self.buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
+            .try_into()
+            .expect("exact block")
     }
 }
 
@@ -342,21 +419,27 @@ impl SaltedHasher {
     ///   hash the bare 32-byte digest, which still fits the one-block fast
     ///   path.
     pub fn iterated(&self, message: &[u8], iterations: u32) -> Digest {
+        self.iterated_with(ShaNi::detect(), message, iterations)
+    }
+
+    /// [`SaltedHasher::iterated`] on the given kernel (`None`: portable).
+    fn iterated_with(&self, sha_ni: Option<ShaNi>, message: &[u8], iterations: u32) -> Digest {
         let rounds = iterations.max(1);
-        let mut digest = self.first.digest_suffix(message);
-        if rounds > 1 {
-            // Stack copy (templates are `Copy`): the loop heap-allocates
-            // nothing, keeping `VerifyScratch`-style callers allocation-free.
-            let mut template = self.template;
-            for _ in 1..rounds {
-                digest = template.advance(&digest);
+        let mut digest = [self.first.digest_suffix(message)];
+        // Stack copy (templates are `Copy`): the loop heap-allocates
+        // nothing, keeping `VerifyScratch`-style callers allocation-free.
+        let mut template = [self.template];
+        match sha_ni {
+            Some(ni) => {
+                advance_chains(&mut template, &mut digest, rounds, |s, b| ni.compress(s, b))
             }
+            None => advance_chains(&mut template, &mut digest, rounds, compress_one),
         }
-        digest
+        digest[0]
     }
 
     /// Batched [`SaltedHasher::iterated`] over independent messages,
-    /// [`LANES`] at a time.
+    /// interleaved through the batched kernel.
     pub fn iterated_many(&self, messages: &[&[u8]], iterations: u32) -> Vec<Digest> {
         let mut out = Vec::new();
         self.iterated_many_into(messages, iterations, &mut out);
@@ -365,13 +448,41 @@ impl SaltedHasher {
 
     /// [`SaltedHasher::iterated_many`] writing into a caller-provided
     /// buffer, so a steady-state guess loop performs no allocation.
+    ///
+    /// With SHA-NI, messages run four streams per kernel call with a 1–3
+    /// stream tail; otherwise through the portable [`LANES`]-lane kernel.
     pub fn iterated_many_into(&self, messages: &[&[u8]], iterations: u32, out: &mut Vec<Digest>) {
-        self.iterated_many_lanes_into::<LANES>(messages, iterations, out);
+        self.iterated_many_with(ShaNi::detect(), messages, iterations, out);
     }
 
-    /// Lane-count-generic batched hashing; exposed so the benches can sweep
-    /// `L` (2/4/8) — production callers use [`SaltedHasher::iterated_many`]
-    /// with the tuned default.
+    /// [`SaltedHasher::iterated_many_into`] on the given kernel (`None`:
+    /// portable).
+    fn iterated_many_with(
+        &self,
+        sha_ni: Option<ShaNi>,
+        messages: &[&[u8]],
+        iterations: u32,
+        out: &mut Vec<Digest>,
+    ) {
+        let Some(ni) = sha_ni else {
+            return self.iterated_many_lanes_into::<LANES>(messages, iterations, out);
+        };
+        let rounds = iterations.max(1);
+        out.clear();
+        out.extend(messages.iter().map(|m| self.first.digest_suffix(m)));
+        if rounds == 1 {
+            return;
+        }
+        for start in (0..out.len()).step_by(SHA_NI_STREAMS) {
+            let lanes: [usize; SHA_NI_STREAMS] = core::array::from_fn(|l| start + l);
+            let len = SHA_NI_STREAMS.min(out.len() - start);
+            run_sha_ni(ni, &lanes[..len], |_| self.template, rounds, out);
+        }
+    }
+
+    /// Lane-count-generic batched hashing on the portable kernels; exposed
+    /// so the benches can sweep `L` (2/4/8) — production callers use
+    /// [`SaltedHasher::iterated_many`], which picks the kernel.
     pub fn iterated_many_lanes_into<const L: usize>(
         &self,
         messages: &[&[u8]],
@@ -389,37 +500,15 @@ impl SaltedHasher {
         // Each lane mutates only the digest slot of its own template copy;
         // templates are stack values allocated once for the whole batch.
         let mut templates = [self.template; L];
-        let blocks_per_round = self.template.blocks_per_round();
         let mut chunks = out.chunks_exact_mut(L);
         for lane_digests in chunks.by_ref() {
-            for _ in 1..rounds {
-                let mut states = [self.template.initial_state; L];
-                for l in 0..L {
-                    let t = &mut templates[l];
-                    t.buffer[t.digest_offset..t.digest_offset + DIGEST_LEN]
-                        .copy_from_slice(&lane_digests[l]);
-                }
-                for b in 0..blocks_per_round {
-                    let blocks: [&[u8; BLOCK_LEN]; L] = core::array::from_fn(|l| {
-                        templates[l].buffer[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
-                            .try_into()
-                            .expect("exact block")
-                    });
-                    compress_lanes(&mut states, blocks);
-                }
-                for l in 0..L {
-                    lane_digests[l] = state_to_digest(&states[l]);
-                }
-            }
+            let lane_digests = lane_digests.try_into().expect("L-digest chunk");
+            advance_chains(&mut templates, lane_digests, rounds, compress_lanes);
         }
         // Remainder lanes (fewer than L messages left) run the scalar path.
         for digest in chunks.into_remainder() {
-            let mut template = self.template;
-            let mut d = *digest;
-            for _ in 1..rounds {
-                d = template.advance(&d);
-            }
-            *digest = d;
+            let digest = core::array::from_mut(digest);
+            advance_chains(&mut [self.template], digest, rounds, compress_one);
         }
     }
 }
@@ -618,11 +707,15 @@ mod tests {
                 "salt {salt_len}"
             );
             for iterations in [1u32, 2, 3, 50] {
-                assert_eq!(
-                    hasher.iterated(message, iterations),
-                    iterated_hash_reference(&salt, message, iterations),
-                    "salt {salt_len}, iterations {iterations}"
-                );
+                let expected = iterated_hash_reference(&salt, message, iterations);
+                for sha_ni in [None, ShaNi::detect()] {
+                    assert_eq!(
+                        hasher.iterated_with(sha_ni, message, iterations),
+                        expected,
+                        "salt {salt_len}, iterations {iterations}, SHA-NI {}",
+                        sha_ni.is_some()
+                    );
+                }
             }
         }
     }
@@ -635,12 +728,21 @@ mod tests {
             .collect();
         for count in 0..=messages.len() {
             let refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
-            let batched = iterated_hash_many(salt, &refs, 37);
             let scalar: Vec<_> = refs
                 .iter()
                 .map(|m| iterated_hash_reference(salt, m, 37))
                 .collect();
-            assert_eq!(batched, scalar, "batch of {count}");
+            let hasher = SaltedHasher::new(salt);
+            let mut batched = Vec::new();
+            for sha_ni in [None, ShaNi::detect()] {
+                hasher.iterated_many_with(sha_ni, &refs, 37, &mut batched);
+                assert_eq!(
+                    batched,
+                    scalar,
+                    "batch of {count}, SHA-NI {}",
+                    sha_ni.is_some()
+                );
+            }
         }
     }
 
@@ -673,7 +775,9 @@ mod tests {
     fn many_salted_matches_scalar_across_batch_sizes_and_salt_lengths() {
         // Salt lengths straddle the one-block/two-block boundary (23 bytes)
         // so the bucketing by blocks_per_round is exercised inside a single
-        // batch, and batch sizes straddle the LANES remainder path.
+        // batch, and batch sizes straddle the LANES remainder path and the
+        // SHA-NI 4-stream tails.  Both kernels run, so a SHA-NI host still
+        // checks the portable dispatch.
         let salts: Vec<Vec<u8>> = (0..40)
             .map(|i| {
                 (0..(i * 5) % 41)
@@ -685,15 +789,23 @@ mod tests {
             .map(|i| (0..30 + i).map(|j| ((i * 17 + j) % 251) as u8).collect())
             .collect();
         let hashers: Vec<SaltedHasher> = salts.iter().map(|s| SaltedHasher::new(s)).collect();
-        for count in [0usize, 1, 2, 15, 16, 17, 33, 40] {
+        for count in [0usize, 1, 2, 3, 4, 5, 7, 15, 16, 17, 33, 40] {
             let hasher_refs: Vec<&SaltedHasher> = hashers[..count].iter().collect();
             let msg_refs: Vec<&[u8]> = messages[..count].iter().map(Vec::as_slice).collect();
             for iterations in [0u32, 1, 2, 29] {
-                let batched = iterated_hash_many_salted(&hasher_refs, &msg_refs, iterations);
                 let scalar: Vec<Digest> = (0..count)
                     .map(|i| iterated_hash_reference(&salts[i], &messages[i], iterations))
                     .collect();
-                assert_eq!(batched, scalar, "batch of {count}, {iterations} iterations");
+                let mut batched = Vec::new();
+                for sha_ni in [None, ShaNi::detect()] {
+                    many_salted_into(sha_ni, &hasher_refs, &msg_refs, iterations, &mut batched);
+                    assert_eq!(
+                        batched,
+                        scalar,
+                        "batch of {count}, {iterations} iterations, SHA-NI {}",
+                        sha_ni.is_some()
+                    );
+                }
             }
         }
     }

@@ -18,7 +18,7 @@ pub type Digest = [u8; DIGEST_LEN];
 
 /// SHA-256 round constants: the first 32 bits of the fractional parts of the
 /// cube roots of the first 64 prime numbers (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -40,7 +40,10 @@ pub(crate) const H0: [u32; 8] = [
 pub(crate) const ONE_BLOCK_MAX: usize = BLOCK_LEN - 9;
 
 /// The SHA-256 compression function: absorb one 64-byte block into `state`.
-pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+///
+/// The portable kernel, and the specification the accelerated kernels
+/// (such as [`crate::sha_ni::ShaNi::compress`]) are tested against.
+pub fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     // Message schedule.
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {

@@ -1,12 +1,115 @@
 //! Property-based tests for the crypto substrate.
 
+use gp_crypto::sha256::compress;
 use gp_crypto::{
-    ct_eq, hex, iterated_hash, iterated_hash_many, iterated_hash_reference, HmacSha256, Midstate,
-    PasswordHasher, SaltedHasher, Sha256,
+    active_kernel, ct_eq, hex, iterated_hash, iterated_hash_many, iterated_hash_many_salted,
+    iterated_hash_reference, HmacSha256, Midstate, PasswordHasher, SaltedHasher, Sha256, ShaNi,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::Once;
+
+/// The SHA-NI token, or `None` after printing (once per run) that this CPU
+/// lacks SHA-NI, so the kernel-equivalence properties checked only the
+/// portable path.
+fn sha_ni() -> Option<ShaNi> {
+    static NOTE: Once = Once::new();
+    let ni = ShaNi::detect();
+    if ni.is_none() {
+        NOTE.call_once(|| {
+            eprintln!(
+                "SHA-NI not detected on this CPU: only the portable path ran; \
+                 the SHA-NI kernel was not checked"
+            );
+        });
+    }
+    ni
+}
+
+/// `N` streams from the front of `states`/`blocks` through the SHA-NI
+/// kernel, each checked against the portable compression.
+fn sha_ni_matches_portable<const N: usize>(
+    ni: ShaNi,
+    states: &[u32],
+    blocks: &[u8],
+) -> Result<(), TestCaseError> {
+    let mut lanes: [[u32; 8]; N] =
+        core::array::from_fn(|s| states[8 * s..8 * s + 8].try_into().unwrap());
+    let block_refs: [&[u8; 64]; N] =
+        core::array::from_fn(|s| blocks[64 * s..64 * s + 64].try_into().unwrap());
+    let mut expected = lanes;
+    for (state, block) in expected.iter_mut().zip(block_refs) {
+        compress(state, block);
+    }
+    ni.compress(&mut lanes, block_refs);
+    prop_assert_eq!(lanes, expected, "{} streams", N);
+    Ok(())
+}
+
+/// h^3000 under the serving salt shape (26 bytes, two blocks per round),
+/// computed independently with Python's `hashlib`.
+const H3000_SALT: &[u8] = b"gp-passwords/v1\x1fuser-00042";
+const H3000_HEX: &str = "b41b6f2f1fd7916812682ae571fb6c5bf8a46fc2fb0e1cbbbff9beb1862bdd03";
+
+#[test]
+fn fixed_h3000_vector_on_every_path() {
+    let message: Vec<u8> = (0u8..40).collect();
+    let expected = hex::decode(H3000_HEX).unwrap();
+    eprintln!("iterated-hash kernel: {}", active_kernel());
+    assert_eq!(
+        iterated_hash_reference(H3000_SALT, &message, 3000).to_vec(),
+        expected
+    );
+    let hasher = SaltedHasher::new(H3000_SALT);
+    assert_eq!(hasher.blocks_per_round(), 2);
+    assert_eq!(hasher.iterated(&message, 3000).to_vec(), expected);
+    // Five copies: one full 4-stream SHA-NI call plus a 1-stream tail.
+    let batched = iterated_hash_many_salted(&[&hasher; 5], &[message.as_slice(); 5], 3000);
+    for digest in batched {
+        assert_eq!(digest.to_vec(), expected);
+    }
+}
 
 proptest! {
+    /// The SHA-NI kernel for every stream count is bit-identical to the
+    /// portable compression on arbitrary states and blocks.
+    #[test]
+    fn sha_ni_compress_equals_portable(
+        states in proptest::collection::vec(any::<u32>(), 32),
+        blocks in proptest::collection::vec(any::<u8>(), 256),
+    ) {
+        if let Some(ni) = sha_ni() {
+            sha_ni_matches_portable::<1>(ni, &states, &blocks)?;
+            sha_ni_matches_portable::<2>(ni, &states, &blocks)?;
+            sha_ni_matches_portable::<3>(ni, &states, &blocks)?;
+            sha_ni_matches_portable::<4>(ni, &states, &blocks)?;
+        }
+    }
+
+    /// The dispatched per-entry-salt batch path (the serving shape) is
+    /// bit-identical to the reference on whichever kernel this CPU runs,
+    /// over batch sizes 0–37 (full 4-stream calls, every tail, full and
+    /// padded 16-lane passes) and salts of 0–140 bytes, so one batch mixes
+    /// one- and two-block rounds and salts with full midstate blocks.
+    #[test]
+    fn dispatched_many_salted_equals_reference(
+        entries in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..141),
+             proptest::collection::vec(any::<u8>(), 0..80)),
+            0..38),
+        iterations in 1u32..7,
+    ) {
+        sha_ni();
+        let hashers: Vec<SaltedHasher> = entries.iter().map(|(salt, _)| SaltedHasher::new(salt)).collect();
+        let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+        let messages: Vec<&[u8]> = entries.iter().map(|(_, m)| m.as_slice()).collect();
+        let expected: Vec<_> = entries
+            .iter()
+            .map(|(salt, m)| iterated_hash_reference(salt, m, iterations))
+            .collect();
+        prop_assert_eq!(iterated_hash_many_salted(&hasher_refs, &messages, iterations), expected);
+    }
+
     /// The optimized one-shot/midstate scalar path is bit-identical to the
     /// reference implementation for arbitrary salt/message/iterations.
     #[test]

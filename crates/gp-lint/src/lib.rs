@@ -4,7 +4,7 @@
 //! The serving stack's correctness rests on invariants that ordinary
 //! compilers cannot see: acks may only follow the WAL group-commit barrier,
 //! locks are taken in the canonical `snap → accounts → wal` order, `unsafe`
-//! lives only in `gp-netauth::sys`, hot-path modules never panic, and the
+//! lives only in `gp-netauth::sys` and `gp-crypto::sha_ni`, hot-path modules never panic, and the
 //! reactor event-loop thread never blocks on the filesystem. This crate
 //! machine-checks all five with a hand-rolled lexer and a lightweight
 //! per-function model — zero dependencies, so it runs in the same offline

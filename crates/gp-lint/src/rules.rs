@@ -4,7 +4,7 @@
 //! |------|-----------|
 //! | L1 | `EnrollOk` may not be constructed/encoded before the group-commit barrier in the same function |
 //! | L2 | lock acquisitions must follow the canonical `snap → accounts → wal` order, inter-function |
-//! | L3 | `unsafe` is confined to `gp-netauth/src/sys.rs` |
+//! | L3 | `unsafe` is confined to `gp-netauth/src/sys.rs` and `gp-crypto/src/sha_ni.rs` |
 //! | L4 | no `unwrap`/`expect`/`panic!` in non-test hot-path modules |
 //! | L5 | no blocking fs / un-timed connect calls reachable from the reactor event loop |
 //! | L6 | no `Ordering::Relaxed` on atomics whose value gates control flow or whose RMW result is consumed |
@@ -367,10 +367,14 @@ fn emit_l2(
     }
 }
 
-/// L3: `unsafe` tokens outside `gp-netauth/src/sys.rs`.
+/// The only files allowed to contain `unsafe` (L3): the Linux syscall
+/// layer and the runtime-dispatched SHA-NI hash kernel.
+const UNSAFE_FILES: [&str; 2] = ["gp-netauth/src/sys.rs", "gp-crypto/src/sha_ni.rs"];
+
+/// L3: `unsafe` tokens outside [`UNSAFE_FILES`].
 fn check_l3(model: &Model, directives: &[FileDirectives], out: &mut Vec<Diagnostic>) {
     for (fi, file) in model.files.iter().enumerate() {
-        if file.path.ends_with("gp-netauth/src/sys.rs") {
+        if UNSAFE_FILES.iter().any(|f| file.path.ends_with(f)) {
             continue;
         }
         for t in &file.tokens {
@@ -379,7 +383,8 @@ fn check_l3(model: &Model, directives: &[FileDirectives], out: &mut Vec<Diagnost
                     file: file.path.clone(),
                     line: t.line,
                     rule: Rule::L3,
-                    message: "`unsafe` outside the confined `gp-netauth/src/sys.rs` module"
+                    message: "`unsafe` outside the confined modules \
+                              (`gp-netauth/src/sys.rs`, `gp-crypto/src/sha_ni.rs`)"
                         .to_string(),
                 });
             }

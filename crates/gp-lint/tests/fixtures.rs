@@ -95,6 +95,17 @@ fn l3_fires_outside_sys_and_is_quiet_inside() {
 }
 
 #[test]
+fn l3_allows_the_sha_ni_kernel_but_not_the_rest_of_gp_crypto() {
+    let kernel = lint_sources(&[file("crates/gp-crypto/src/sha_ni.rs", L3_UNSAFE)]);
+    assert!(kernel.diagnostics.is_empty(), "{:#?}", kernel.diagnostics);
+
+    let caller = lint_sources(&[file("crates/gp-crypto/src/iterated.rs", L3_UNSAFE)]);
+    assert_eq!(caller.diagnostics.len(), 1, "{:#?}", caller.diagnostics);
+    let d = &caller.diagnostics[0];
+    assert_eq!((d.rule, d.line), (Rule::L3, 4));
+}
+
+#[test]
 fn l4_fires_per_site_with_exact_lines() {
     let report = lint_sources(&[file("crates/gp-netauth/src/reactor.rs", L4_VIOLATION)]);
     let got: Vec<(u32, Rule)> = report
