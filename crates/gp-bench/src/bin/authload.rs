@@ -1,25 +1,25 @@
 //! `authload` — load generator for the netauth serving layer.
 //!
 //! Drives client threads × pipelined login requests against a real TCP
-//! server in several configurations and reports logins/sec:
+//! server in several configurations and reports logins/sec.  Every
+//! scenario serves through the epoll reactor, so the bench is Linux-only:
 //!
-//! * **single_worker** — 1 shard, 1 blocking worker, scalar verification
-//!   ([`ServerConfig::single_worker_baseline`]): the pre-sharding shape.
-//! * **sharded_pooled** — 4 shards, blocking worker pool, 16-way batch
-//!   verification ([`ServerConfig::pooled_baseline`]): the PR 2 serving
-//!   layer.
-//! * **reactor** — the epoll reactor with a fixed small thread count
-//!   (1 event loop + 3 hash-compute threads), same active load.
+//! * **reactor_scalar** — 1 shard, 1 hash-compute thread, scalar
+//!   verification (`batch_max = 1`): the unsharded, unbatched shape the
+//!   others are measured against.
+//! * **reactor** — 4 shards, 16-way batch verification and a fixed small
+//!   thread count (1 event loop + 3 hash-compute threads), same active
+//!   load.  `authload_reactor_vs_scalar` is its speedup over
+//!   reactor_scalar: what sharding, batching and parallel hashing buy.
 //! * **reactor_idle** — the reactor carrying `GP_AUTHLOAD_IDLE`
 //!   (default 256) additional *mostly-idle* connections while serving the
-//!   same active load: the scenario a blocking pool cannot survive
-//!   without one thread per connection.
+//!   same active load: a blocking thread-per-connection server could not
+//!   survive it.
 //! * **reactor_highconc** — connection scaling: `GP_AUTHLOAD_CONNS`
 //!   (default 32) concurrently active connections with shallow (4-deep)
-//!   pipelines.  A 4-worker pool would strand all but 4 of these
-//!   connections; the reactor serves them all and the cross-connection
-//!   turn queue keeps the hash lanes full — reported as the
-//!   `reactor_highconc_mean_batch` occupancy metric.
+//!   pipelines.  The cross-connection turn queue keeps the hash lanes
+//!   full — reported as the `reactor_highconc_mean_batch` occupancy
+//!   metric.
 //! * **reactor_durable** — the reactor serving the same login load with
 //!   the crash-safe store enabled (`fsync: Always` by default, overridable
 //!   via `GP_AUTHLOAD_FSYNC` = `always` / `batch:N` / `never`): every
@@ -75,7 +75,7 @@ use gp_geometry::Point;
 use gp_netauth::replication::ReplicatorConfig;
 use gp_netauth::{
     AuthClient, AuthServer, ClientMessage, Cluster, ClusterClient, DurabilityConfig, FsyncPolicy,
-    LoginDecision, ServerConfig, ServerMessage, ServingMode,
+    LoginDecision, ServerConfig, ServerMessage,
 };
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -611,27 +611,16 @@ fn main() {
     let idle: usize = env_or("GP_AUTHLOAD_IDLE", 256);
     let conns: usize = env_or("GP_AUTHLOAD_CONNS", 32).max(1);
 
-    let single_worker = Scenario {
+    // The unbatched baseline: one shard, one hash-compute thread, one
+    // attempt per hash run.
+    let reactor_scalar = Scenario {
         config: ServerConfig {
             hash_iterations: iterations,
-            ..ServerConfig::single_worker_baseline()
+            shards: 1,
+            workers: 1,
+            batch_max: 1,
+            ..ServerConfig::study_default()
         },
-        threads,
-        pipeline,
-        idle_connections: 0,
-        enrolls_per_burst: 0,
-        durable_fsync: None,
-    };
-    let pooled_config = ServerConfig {
-        hash_iterations: iterations,
-        workers: std::thread::available_parallelism()
-            .map(|p| p.get().clamp(4, 16))
-            .unwrap_or(4),
-        ..ServerConfig::pooled_baseline()
-    };
-    assert_eq!(pooled_config.shards, 4, "acceptance config is 4 shards");
-    let sharded_pooled = Scenario {
-        config: pooled_config,
         threads,
         pipeline,
         idle_connections: 0,
@@ -645,9 +634,9 @@ fn main() {
     let reactor_config = ServerConfig {
         hash_iterations: iterations,
         workers: 3,
-        serving: ServingMode::Reactor,
         ..ServerConfig::study_default()
     };
+    assert_eq!(reactor_config.shards, 4, "acceptance config is 4 shards");
     let reactor = Scenario {
         config: reactor_config.clone(),
         threads,
@@ -721,177 +710,132 @@ fn main() {
     if let Some(filter) = &only {
         eprintln!("[authload] GP_AUTHLOAD_ONLY={filter} — non-matching scenarios skipped");
     }
-    let baseline = enabled("single_worker")
-        .then(|| run_scenario_best_of("single_worker", &single_worker, users, secs, trials));
-    let pooled = enabled("sharded_pooled")
-        .then(|| run_scenario_best_of("sharded_pooled", &sharded_pooled, users, secs, trials));
-
     let path = std::env::var("GP_BENCH_OUT").unwrap_or_else(|_| "BENCH_results.json".into());
     let path = std::path::PathBuf::from(path);
     let mut out = BenchReport::load(&path).unwrap_or_default();
     let mut fresh = BenchReport::new();
-    if let Some(baseline) = &baseline {
+
+    let scalar = enabled("reactor_scalar")
+        .then(|| run_scenario_best_of("reactor_scalar", &reactor_scalar, users, secs, trials));
+    let reactive =
+        enabled("reactor").then(|| run_scenario_best_of("reactor", &reactor, users, secs, trials));
+    let idle_result = enabled("reactor_idle")
+        .then(|| run_scenario_best_of("reactor_idle", &reactor_idle, users, secs, trials));
+    let highconc = enabled("reactor_highconc")
+        .then(|| run_scenario_best_of("reactor_highconc", &reactor_highconc, users, secs, trials));
+    let durable = enabled("reactor_durable")
+        .then(|| run_scenario_best_of("reactor_durable", &reactor_durable, users, secs, trials));
+    let groupcommit = enabled("reactor_groupcommit").then(|| {
+        run_scenario_best_of(
+            "reactor_groupcommit",
+            &reactor_groupcommit,
+            users,
+            secs,
+            trials,
+        )
+    });
+    let cluster = enabled("cluster_sync")
+        .then(|| run_cluster_best_of("cluster_sync", &reactor_config, 3, threads, secs, trials));
+    let cluster_rejoin = enabled("cluster_rejoin").then(|| {
+        run_cluster_rejoin_best_of("cluster_rejoin", &reactor_config, 3, threads, secs, trials)
+    });
+
+    if let Some(scalar) = &scalar {
         fresh.set_result(
-            "authload/single_worker_ns_per_login",
-            baseline.ns_per_login(),
+            "authload/reactor_scalar_ns_per_login",
+            scalar.ns_per_login(),
         );
         fresh.set_throughput(
-            "authload/single_worker_logins_per_sec",
-            baseline.logins_per_sec(),
+            "authload/reactor_scalar_logins_per_sec",
+            scalar.logins_per_sec(),
         );
     }
-    if let Some(pooled) = &pooled {
+    if let Some(reactive) = &reactive {
+        fresh.set_result("authload/reactor_ns_per_login", reactive.ns_per_login());
+        fresh.set_throughput("authload/reactor_logins_per_sec", reactive.logins_per_sec());
+    }
+    if let (Some(reactive), Some(scalar)) = (&reactive, &scalar) {
+        let ratio = reactive.logins_per_sec() / scalar.logins_per_sec();
+        eprintln!("[authload] reactor/scalar {ratio:.2}x");
+        fresh.set_speedup("authload_reactor_vs_scalar", ratio);
+    }
+    if let Some(idle_result) = &idle_result {
         fresh.set_result(
-            "authload/sharded_pooled_ns_per_login",
-            pooled.ns_per_login(),
+            "authload/reactor_idle_ns_per_login",
+            idle_result.ns_per_login(),
         );
         fresh.set_throughput(
-            "authload/sharded_pooled_logins_per_sec",
-            pooled.logins_per_sec(),
+            "authload/reactor_idle_logins_per_sec",
+            idle_result.logins_per_sec(),
         );
     }
-    if let (Some(baseline), Some(pooled)) = (&baseline, &pooled) {
-        let scaling = pooled.logins_per_sec() / baseline.logins_per_sec();
-        eprintln!("[authload] pooled/single {scaling:.2}x");
-        fresh.set_speedup("authload_scaling", scaling);
-    }
-
-    // The reactor scenarios measure the epoll path, which only exists on
-    // Linux: `AuthServer::spawn` quietly serves through the blocking pool
-    // elsewhere, and recording those numbers under reactor metric names
-    // would poison the committed baselines (a pool cannot even hold the
-    // idle-connection population the reactor_idle scenario is about).
-    // The cluster scenario rides the same gate: its nodes serve in
-    // reactor mode.
-    if cfg!(target_os = "linux") {
-        let reactive = enabled("reactor")
-            .then(|| run_scenario_best_of("reactor", &reactor, users, secs, trials));
-        let idle_result = enabled("reactor_idle")
-            .then(|| run_scenario_best_of("reactor_idle", &reactor_idle, users, secs, trials));
-        let highconc = enabled("reactor_highconc").then(|| {
-            run_scenario_best_of("reactor_highconc", &reactor_highconc, users, secs, trials)
-        });
-        let durable = enabled("reactor_durable").then(|| {
-            run_scenario_best_of("reactor_durable", &reactor_durable, users, secs, trials)
-        });
-        let groupcommit = enabled("reactor_groupcommit").then(|| {
-            run_scenario_best_of(
-                "reactor_groupcommit",
-                &reactor_groupcommit,
-                users,
-                secs,
-                trials,
-            )
-        });
-        let cluster = enabled("cluster_sync").then(|| {
-            run_cluster_best_of("cluster_sync", &reactor_config, 3, threads, secs, trials)
-        });
-        let cluster_rejoin = enabled("cluster_rejoin").then(|| {
-            run_cluster_rejoin_best_of("cluster_rejoin", &reactor_config, 3, threads, secs, trials)
-        });
-
-        if let Some(reactive) = &reactive {
-            fresh.set_result("authload/reactor_ns_per_login", reactive.ns_per_login());
-            fresh.set_throughput("authload/reactor_logins_per_sec", reactive.logins_per_sec());
-        }
-        if let Some(idle_result) = &idle_result {
-            fresh.set_result(
-                "authload/reactor_idle_ns_per_login",
-                idle_result.ns_per_login(),
-            );
-            fresh.set_throughput(
-                "authload/reactor_idle_logins_per_sec",
-                idle_result.logins_per_sec(),
-            );
-        }
-        if let Some(highconc) = &highconc {
-            fresh.set_result(
-                "authload/reactor_highconc_ns_per_login",
-                highconc.ns_per_login(),
-            );
-            fresh.set_throughput(
-                "authload/reactor_highconc_logins_per_sec",
-                highconc.logins_per_sec(),
-            );
-            // Batch occupancy under connection scaling: mean attempts per
-            // multi-lane run (higher = fuller lanes), gated like any
-            // throughput.
-            fresh.set_throughput("authload/reactor_highconc_mean_batch", highconc.mean_batch);
-        }
-        if let Some(durable) = &durable {
-            // Durable serving: acked operations/sec (one group-committed
-            // enrollment leading every 16-deep burst, the rest logins).
-            fresh.set_result("authload/reactor_durable_ns_per_op", durable.ns_per_login());
-            fresh.set_throughput(
-                "authload/reactor_durable_ops_per_sec",
-                durable.logins_per_sec(),
-            );
-        }
-        if let Some(groupcommit) = &groupcommit {
-            // Enroll-heavy durable serving: acked operations/sec with
-            // `group_enrolls` fresh enrollments per burst all riding one
-            // group-commit barrier per coalesced compute batch.
-            fresh.set_result(
-                "authload/reactor_groupcommit_ns_per_op",
-                groupcommit.ns_per_login(),
-            );
-            fresh.set_throughput(
-                "authload/reactor_groupcommit_ops_per_sec",
-                groupcommit.logins_per_sec(),
-            );
-        }
-        if let Some(cluster) = &cluster {
-            // Replicated serving: acked operations/sec through the ring-
-            // routing client against a 3-node sync-replicated cluster.
-            fresh.set_result("authload/cluster_sync_ns_per_op", cluster.ns_per_op());
-            fresh.set_throughput("authload/cluster_sync_ops_per_sec", cluster.ops_per_sec());
-        }
-        if let Some(rejoin) = &cluster_rejoin {
-            // Replicated serving across a kill + catch-up-gated rejoin:
-            // acked ops/s over the whole window, failover included.
-            fresh.set_result("authload/cluster_rejoin_ns_per_op", rejoin.ns_per_op());
-            fresh.set_throughput("authload/cluster_rejoin_ops_per_sec", rejoin.ops_per_sec());
-        }
-        if let (Some(reactive), Some(pooled)) = (&reactive, &pooled) {
-            let ratio = reactive.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_vs_pooled", ratio);
-        }
-        if let (Some(idle_result), Some(pooled)) = (&idle_result, &pooled) {
-            let ratio = idle_result.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor+{idle} idle/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_idle_vs_pooled", ratio);
-        }
-        if let (Some(highconc), Some(pooled)) = (&highconc, &pooled) {
-            let ratio = highconc.logins_per_sec() / pooled.logins_per_sec();
-            eprintln!("[authload] reactor {conns}-conn/pooled {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_highconc_vs_pooled", ratio);
-        }
-        if let (Some(durable), Some(reactive)) = (&durable, &reactive) {
-            let ratio = durable.logins_per_sec() / reactive.logins_per_sec();
-            eprintln!("[authload] durable/reactor {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_durable_vs_reactor", ratio);
-        }
-        if let (Some(groupcommit), Some(reactive)) = (&groupcommit, &reactive) {
-            let ratio = groupcommit.logins_per_sec() / reactive.logins_per_sec();
-            eprintln!("[authload] groupcommit({group_enrolls}-in-{pipeline})/reactor {ratio:.2}x");
-            fresh.set_speedup("authload_reactor_groupcommit_vs_reactor", ratio);
-        }
-        if let (Some(cluster), Some(durable)) = (&cluster, &durable) {
-            let ratio = cluster.ops_per_sec() / durable.logins_per_sec();
-            eprintln!("[authload] cluster/single-durable {ratio:.2}x");
-            fresh.set_speedup("authload_cluster_sync_vs_single_durable", ratio);
-        }
-        if let (Some(rejoin), Some(cluster)) = (&cluster_rejoin, &cluster) {
-            let ratio = rejoin.ops_per_sec() / cluster.ops_per_sec();
-            eprintln!("[authload] rejoin-window/steady cluster {ratio:.2}x");
-            fresh.set_speedup("authload_cluster_rejoin_vs_steady", ratio);
-        }
-    } else {
-        eprintln!(
-            "[authload] reactor and cluster scenarios skipped \
-             (epoll reactor is Linux-only; the pool fallback would be mislabeled)"
+    if let Some(highconc) = &highconc {
+        fresh.set_result(
+            "authload/reactor_highconc_ns_per_login",
+            highconc.ns_per_login(),
         );
+        fresh.set_throughput(
+            "authload/reactor_highconc_logins_per_sec",
+            highconc.logins_per_sec(),
+        );
+        // Batch occupancy under connection scaling: mean attempts per
+        // multi-lane run (higher = fuller lanes), gated like any
+        // throughput.
+        fresh.set_throughput("authload/reactor_highconc_mean_batch", highconc.mean_batch);
+    }
+    if let Some(durable) = &durable {
+        // Durable serving: acked operations/sec (one group-committed
+        // enrollment leading every 16-deep burst, the rest logins).
+        fresh.set_result("authload/reactor_durable_ns_per_op", durable.ns_per_login());
+        fresh.set_throughput(
+            "authload/reactor_durable_ops_per_sec",
+            durable.logins_per_sec(),
+        );
+    }
+    if let Some(groupcommit) = &groupcommit {
+        // Enroll-heavy durable serving: acked operations/sec with
+        // `group_enrolls` fresh enrollments per burst all riding one
+        // group-commit barrier per coalesced compute batch.
+        fresh.set_result(
+            "authload/reactor_groupcommit_ns_per_op",
+            groupcommit.ns_per_login(),
+        );
+        fresh.set_throughput(
+            "authload/reactor_groupcommit_ops_per_sec",
+            groupcommit.logins_per_sec(),
+        );
+    }
+    if let Some(cluster) = &cluster {
+        // Replicated serving: acked operations/sec through the ring-
+        // routing client against a 3-node sync-replicated cluster.
+        fresh.set_result("authload/cluster_sync_ns_per_op", cluster.ns_per_op());
+        fresh.set_throughput("authload/cluster_sync_ops_per_sec", cluster.ops_per_sec());
+    }
+    if let Some(rejoin) = &cluster_rejoin {
+        // Replicated serving across a kill + catch-up-gated rejoin:
+        // acked ops/s over the whole window, failover included.
+        fresh.set_result("authload/cluster_rejoin_ns_per_op", rejoin.ns_per_op());
+        fresh.set_throughput("authload/cluster_rejoin_ops_per_sec", rejoin.ops_per_sec());
+    }
+    if let (Some(durable), Some(reactive)) = (&durable, &reactive) {
+        let ratio = durable.logins_per_sec() / reactive.logins_per_sec();
+        eprintln!("[authload] durable/reactor {ratio:.2}x");
+        fresh.set_speedup("authload_reactor_durable_vs_reactor", ratio);
+    }
+    if let (Some(groupcommit), Some(reactive)) = (&groupcommit, &reactive) {
+        let ratio = groupcommit.logins_per_sec() / reactive.logins_per_sec();
+        eprintln!("[authload] groupcommit({group_enrolls}-in-{pipeline})/reactor {ratio:.2}x");
+        fresh.set_speedup("authload_reactor_groupcommit_vs_reactor", ratio);
+    }
+    if let (Some(cluster), Some(durable)) = (&cluster, &durable) {
+        let ratio = cluster.ops_per_sec() / durable.logins_per_sec();
+        eprintln!("[authload] cluster/single-durable {ratio:.2}x");
+        fresh.set_speedup("authload_cluster_sync_vs_single_durable", ratio);
+    }
+    if let (Some(rejoin), Some(cluster)) = (&cluster_rejoin, &cluster) {
+        let ratio = rejoin.ops_per_sec() / cluster.ops_per_sec();
+        eprintln!("[authload] rejoin-window/steady cluster {ratio:.2}x");
+        fresh.set_speedup("authload_cluster_rejoin_vs_steady", ratio);
     }
 
     out.merge_from(&fresh);

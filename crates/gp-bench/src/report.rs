@@ -255,8 +255,8 @@ mod tests {
         let mut r = BenchReport::new();
         r.set_result("sha256/one_shot_40B", 310.0);
         r.set_result("h1000/lanes_16_per_msg", 67318.7);
-        r.set_throughput("authload/sharded_pooled_logins_per_sec", 14000.0);
-        r.set_speedup("authload_scaling", 4.4);
+        r.set_throughput("authload/reactor_logins_per_sec", 14000.0);
+        r.set_speedup("authload_reactor_vs_scalar", 4.4);
         r
     }
 
@@ -294,7 +294,7 @@ mod tests {
         let committed = sample();
         let mut fresh = sample();
         fresh.set_result("sha256/one_shot_40B", 310.0 * 1.2); // +20% < 25%
-        fresh.set_throughput("authload/sharded_pooled_logins_per_sec", 14000.0 / 1.2);
+        fresh.set_throughput("authload/reactor_logins_per_sec", 14000.0 / 1.2);
         assert!(compare(&committed, &fresh, 0.25).is_empty());
     }
 
@@ -303,15 +303,12 @@ mod tests {
         let committed = sample();
         let mut fresh = sample();
         fresh.set_result("h1000/lanes_16_per_msg", 67318.7 * 1.5);
-        fresh.set_throughput("authload/sharded_pooled_logins_per_sec", 14000.0 / 2.0);
+        fresh.set_throughput("authload/reactor_logins_per_sec", 14000.0 / 2.0);
         let regressions = compare(&committed, &fresh, 0.25);
         let names: Vec<&str> = regressions.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            vec![
-                "h1000/lanes_16_per_msg",
-                "authload/sharded_pooled_logins_per_sec"
-            ]
+            vec!["h1000/lanes_16_per_msg", "authload/reactor_logins_per_sec"]
         );
         assert!(regressions.iter().all(|r| r.slowdown > 1.25));
     }
@@ -341,7 +338,7 @@ mod tests {
         let committed = sample();
         let mut fresh = sample();
         fresh.set_result("sha256/one_shot_40B", 1.0);
-        fresh.set_throughput("authload/sharded_pooled_logins_per_sec", 1e9);
+        fresh.set_throughput("authload/reactor_logins_per_sec", 1e9);
         assert!(compare(&committed, &fresh, 0.25).is_empty());
     }
 }

@@ -16,26 +16,28 @@
 //! * [`lockout`] — per-account consecutive-failure tracking implementing
 //!   the online-attack countermeasure, sharded by account hash and bounded
 //!   in memory against username-spraying attacks.
-//! * [`batch`] — the cross-connection [`batch::BatchVerifier`], which
-//!   coalesces concurrent login attempts into single multi-lane
+//! * [`batch`] — the [`batch::BatchVerifier`], which hashes a batch of
+//!   login and enrollment attempts (merged across connections by the
+//!   reactor's compute workers) as multi-lane
 //!   [`gp_crypto::iterated_hash_many_salted`] runs.
 //! * [`server`] — the serving layer over a
 //!   [`GraphicalPasswordSystem`](gp_passwords::GraphicalPasswordSystem)
 //!   and a [`ShardedPasswordStore`](gp_passwords::ShardedPasswordStore):
-//!   protocol logic plus two interchangeable multiplexing strategies
-//!   ([`server::ServingMode`]), with graceful shutdown and per-worker
-//!   metrics.  With [`server::DurabilityConfig`] set, the store is
+//!   protocol logic and the turn phases the reactor drives, with graceful
+//!   shutdown and per-thread metrics.  With [`server::DurabilityConfig`] set, the store is
 //!   crash-safe: every enrollment is written (and, per the configured
 //!   [`gp_passwords::FsyncPolicy`], fsynced) to a per-shard write-ahead
 //!   log *before* the `Enroll` frame is acknowledged, a background
 //!   thread compacts logs into atomic snapshots, and a restart recovers
 //!   snapshots + WAL tails — no acked account is ever lost.
-//! * [`reactor`] (Linux) — the event-driven serving path: one `epoll`
-//!   thread owns every connection's nonblocking state machine and a
-//!   dedicated hash-compute pool drains prepared verify jobs, so
-//!   connection count is decoupled from thread count.
+//! * [`reactor`] (Linux) — the one serving path: one `epoll` thread owns
+//!   every connection's nonblocking state machine and a dedicated
+//!   hash-compute pool drains prepared verify jobs, so connection count is
+//!   decoupled from thread count.  Serving is Linux-only; elsewhere
+//!   [`server::AuthServer::spawn`] returns an `Unsupported` error.
 //! * [`sys`] (Linux) — the minimal `epoll`/`eventfd` FFI the reactor
-//!   stands on (std already links libc; no crates involved).
+//!   stands on, plus socket-buffer helpers for tests (std already links
+//!   libc; no crates involved).
 //! * [`client`] — a blocking client (with a pipelined burst API) used by
 //!   the examples, integration tests and the `authload` generator; an
 //!   opt-in [`client::RetryPolicy`] absorbs transient connection deaths
@@ -60,7 +62,7 @@
 //!   proves no acked enrollment is ever lost — including across a kill +
 //!   rejoin.
 //!
-//! # Request flow (reactor mode, Linux)
+//! # Request flow
 //!
 //! ```text
 //! epoll: accept ─ read-ready ─ write-ready ─ completions   (1 thread)
@@ -72,15 +74,11 @@
 //! turn queue ──► hash-compute pool (M threads)
 //!                    │ coalesce turns, ≤ batch_max jobs
 //!                    ▼
-//!            BatchVerifier (multi-lane iterated_hash_many_salted)
+//!            BatchVerifier::run_direct (multi-lane iterated_hash_many_salted)
 //!                    │ digests ─ settle ─ encode
 //!                    ▼
 //!            completion queue ─ eventfd ──► reactor writes responses
 //! ```
-//!
-//! In pool mode (non-Linux, or [`server::ServingMode::WorkerPool`]) the
-//! same prepare/batch/settle phases run on a bounded worker pool that
-//! parks one thread per connection.
 //!
 //! The protocol remains deliberately simple (length-prefixed frames, no
 //! TLS): it exists to demonstrate and test the password subsystem under
@@ -121,6 +119,6 @@ pub use replication::{
     ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
-    AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, ServingMode,
-    WorkerMetrics, WorkerStatsSnapshot,
+    AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, WorkerMetrics,
+    WorkerStatsSnapshot,
 };

@@ -5,10 +5,9 @@
 //! `std::sync` in release builds and the gp-sched deterministic-scheduler
 //! shims under `--cfg gp_sched` (see `tests/sched_models.rs`).
 
-use gp_sched::sync::{Condvar, Mutex};
+use gp_sched::sync::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 /// Accounts with an enrollment accepted into a turn but not yet
 /// group-committed.
@@ -19,7 +18,10 @@ use std::time::Duration;
 /// consults this table so only a login for the *same* account parks until
 /// its enroll's barrier; every other account's traffic keeps flowing
 /// (the per-connection write barrier this replaces split the whole
-/// pipeline at every enrollment).
+/// pipeline at every enrollment).  Nothing blocks on the table: the
+/// reactor re-checks [`PendingAccounts::is_pending`] for each parked
+/// connection after applying completions, and the group commit that
+/// clears an account posts the completion that wakes it.
 ///
 /// Entries are reference-counted: concurrent enrollments of one name
 /// (only one can win the duplicate check) each hold the account pending
@@ -27,7 +29,6 @@ use std::time::Duration;
 #[derive(Default)]
 pub struct PendingAccounts {
     accounts: Mutex<HashMap<String, usize>>,
-    cleared: Condvar,
 }
 
 impl fmt::Debug for PendingAccounts {
@@ -51,8 +52,7 @@ impl PendingAccounts {
     }
 
     /// Release one in-flight enrollment for `username` (after its group
-    /// commit, or at settle time if the insert was refused) and wake
-    /// every parked waiter.
+    /// commit, or at settle time if the insert was refused).
     pub fn end(&self, username: &str) {
         let mut accounts = self.accounts.lock();
         if let Some(count) = accounts.get_mut(username) {
@@ -61,27 +61,10 @@ impl PendingAccounts {
                 accounts.remove(username);
             }
         }
-        drop(accounts);
-        self.cleared.notify_all();
     }
 
     /// Whether `username` has an enrollment awaiting its group commit.
     pub fn is_pending(&self, username: &str) -> bool {
         self.accounts.lock().contains_key(username)
-    }
-
-    /// Block until `username` has no in-flight enrollment, or `timeout`
-    /// passes (the blocking pool's park; the reactor re-drives parked
-    /// connections from its event loop instead).
-    pub fn wait_clear(&self, username: &str, timeout: Duration) {
-        let accounts = self.accounts.lock();
-        if !accounts.contains_key(username) {
-            return;
-        }
-        let _ = self
-            .cleared
-            .wait_timeout_while(accounts, timeout, |accounts| {
-                accounts.contains_key(username)
-            });
     }
 }

@@ -1,11 +1,11 @@
 //! Event-driven serving: an `epoll` reactor plus a dedicated hash-compute
 //! pool.
 //!
-//! The worker-pool server parks one thread on every connection it serves,
-//! so idle or slow clients occupy workers and concurrent-connection
-//! capacity is capped near the pool size.  The paper's verification
-//! primitive (`h^1000`) makes serving cost *CPU-bound hashing*, not I/O —
-//! so the reactor splits the two concerns:
+//! This is the server's only serving path.  A blocking server that parks
+//! one thread on every connection lets idle or slow clients occupy
+//! threads and caps concurrent connections near the thread count.  The
+//! paper's verification primitive (`h^1000`) makes serving cost
+//! *CPU-bound hashing*, not I/O — so the reactor splits the two concerns:
 //!
 //! * **One event-loop thread** owns every connection as a nonblocking
 //!   state machine (read → parse → hash-pending → write-backpressure),
@@ -63,9 +63,7 @@
 use crate::batch::HashJob;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter, WriteBuffer};
-use crate::server::{
-    AuthServer, Planned, WorkerMetrics, MAX_CONSECUTIVE_PROTOCOL_ERRORS, SHUTDOWN_POLL,
-};
+use crate::server::{AuthServer, Planned, WorkerMetrics, SHUTDOWN_POLL};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use bytes::Bytes;
 use gp_passwords::VerifyScratch;
@@ -83,6 +81,10 @@ const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 /// Connection slot `s` registers with token `s + TOKEN_BASE`.
 const TOKEN_BASE: u64 = 2;
+
+/// Consecutive undecodable/corrupt frames tolerated on one connection
+/// before the server gives up on it (a desynced or hostile peer).
+const MAX_CONSECUTIVE_PROTOCOL_ERRORS: u32 = 32;
 
 /// Pending response bytes above which a connection stops reading new
 /// requests (resumed once the peer drains its responses).
@@ -220,7 +222,7 @@ struct Connection {
     fd: RawFd,
     /// Pending (partially written) response bytes.
     out: WriteBuffer,
-    /// Per-connection verify scratch (same reuse the pool workers get).
+    /// Per-connection verify scratch, reused across turns.
     scratch: VerifyScratch,
     /// Slot generation this connection was created under.
     generation: u64,
@@ -244,8 +246,7 @@ struct Connection {
     last_activity: Instant,
     /// When the pending output last stopped making progress (`None` while
     /// the buffer is draining or empty).  A peer that stops reading is
-    /// closed after [`WRITE_TIMEOUT`] — the reactor's equivalent of the
-    /// pool's blocking-write timeout.
+    /// closed after `ServerConfig::write_timeout`.
     write_stalled_since: Option<Instant>,
 }
 
@@ -420,8 +421,7 @@ fn compute_loop(
 
         // Merge every turn's jobs into one cross-connection batch and hash
         // it directly on this thread: the turn queue already coalesced, so
-        // distinct compute workers hash distinct batches in parallel
-        // instead of serializing through the verifier's leader queue.
+        // distinct compute workers hash distinct batches in parallel.
         let mut job_counts = Vec::with_capacity(batch.len());
         let mut all_jobs = Vec::new();
         let mut merged = batch;
@@ -460,8 +460,7 @@ fn compute_loop(
                     // is an over-`MAX_FRAME_LEN` response.  Silently
                     // dropping one response would desync every later
                     // reply on the connection; deliver the in-order
-                    // prefix and close instead (the pool path fails the
-                    // connection the same way).
+                    // prefix and close instead.
                     if writer.write_frame_buffered(&response.encode()).is_err() {
                         encode_failed = true;
                         break;
@@ -659,9 +658,7 @@ impl Reactor {
                 }
                 // Refresh the idle clock only when the peer produced at
                 // least one *complete* frame: a byte-trickling peer
-                // (slowloris) must keep aging toward the idle sweep,
-                // exactly as it does against the pool's time-to-first-
-                // frame timeout.
+                // (slowloris) must keep aging toward the idle sweep.
                 if !conn.pending.is_empty() {
                     conn.last_activity = Instant::now();
                 }
@@ -803,7 +800,7 @@ impl Reactor {
             let before = conn.out.pending();
             let result = conn.out.flush_to(conn.reader.get_mut().get_mut());
             // Track write progress: any accepted byte restarts the stall
-            // window, so only a peer taking *nothing* for WRITE_TIMEOUT
+            // window, so only a peer taking *nothing* for `write_timeout`
             // is declared dead by the sweep.
             conn.write_stalled_since = match result {
                 Ok(false) if conn.out.pending() == before => {
@@ -906,11 +903,10 @@ impl Reactor {
     }
 
     /// Drop connections that have been silent past the idle timeout (the
-    /// slowloris defense the pool implements with read timeouts) and
-    /// connections whose peer has accepted no response bytes for
-    /// `ServerConfig::write_timeout` (the pool enforces the same limit as
-    /// a blocking-write timeout — without this, a peer that stops reading
-    /// would pin its buffers and a `max_connections` slot forever).
+    /// slowloris defense) and connections whose peer has accepted no
+    /// response bytes for `ServerConfig::write_timeout` (without this, a
+    /// peer that stops reading would pin its buffers and a
+    /// `max_connections` slot forever).
     fn sweep_idle(&mut self) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
@@ -958,10 +954,12 @@ impl Reactor {
 mod tests {
     use super::*;
     use crate::client::AuthClient;
+    use crate::framing::FaultyBuffer;
     use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
-    use crate::server::{ServerConfig, ServingMode};
+    use crate::server::ServerConfig;
     use gp_geometry::Point;
     use std::io::{Read as _, Write as _};
+    use std::net::{SocketAddr, TcpStream};
     use std::time::Duration;
 
     fn clicks() -> Vec<Point> {
@@ -974,22 +972,75 @@ mod tests {
         ]
     }
 
-    fn reactor_config() -> ServerConfig {
-        ServerConfig {
-            serving: ServingMode::Reactor,
-            ..ServerConfig::fast_for_tests()
-        }
-    }
-
     fn spawn(config: ServerConfig) -> crate::server::ServerHandle {
         AuthServer::new(config)
             .spawn()
             .expect("spawn reactor server")
     }
 
+    fn login(username: &str, clicks: Vec<Point>) -> ClientMessage {
+        ClientMessage::Login {
+            username: username.into(),
+            clicks,
+        }
+    }
+
+    fn accepted() -> ServerMessage {
+        ServerMessage::LoginResult {
+            decision: LoginDecision::Accepted,
+            failures: 0,
+        }
+    }
+
+    /// Encode `messages` as the raw bytes of one pipelined burst.
+    fn pipeline_bytes(messages: &[ClientMessage]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut writer = FrameWriter::new(&mut bytes);
+        for message in messages {
+            writer.write_frame(&message.encode()).unwrap();
+        }
+        bytes
+    }
+
+    /// Three pipelined logins for `username`, written through `fault`
+    /// (which corrupts or drops frames by index).
+    fn faulty_logins(username: &str, mut fault: FaultyBuffer) -> Vec<u8> {
+        let mut writer = FrameWriter::new(&mut fault);
+        for _ in 0..3 {
+            writer
+                .write_frame(&login(username, clicks()).encode())
+                .unwrap();
+        }
+        fault.bytes
+    }
+
+    /// A raw connection whose reads give up after 5 s.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    /// Write a raw pipelined burst in one write and read back `responses`
+    /// reply frames.
+    fn exchange(stream: &mut TcpStream, bytes: &[u8], responses: usize) -> Vec<ServerMessage> {
+        stream.write_all(bytes).unwrap();
+        let mut reader = FrameReader::new(stream);
+        (0..responses)
+            .map(|i| {
+                let frame = reader
+                    .read_frame()
+                    .unwrap_or_else(|e| panic!("response {i} missing: {e}"));
+                ServerMessage::decode(frame).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn end_to_end_enroll_login_lockout_through_the_reactor() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         let mut client = AuthClient::connect(handle.addr()).expect("connect");
         let (scheme, n) = client.get_config().unwrap();
         assert_eq!((scheme.as_str(), n), ("centered:9", 5));
@@ -1008,60 +1059,157 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_burst_with_corrupt_frame_stays_in_sync() {
-        use crate::framing::FaultyBuffer;
-        let handle = spawn(reactor_config());
-        {
-            let mut client = AuthClient::connect(handle.addr()).unwrap();
-            client.enroll("alice", &clicks()).unwrap();
-            client.quit().unwrap();
-        }
-        // Hand-build a 3-login pipeline with the middle payload corrupted
-        // and push the raw bytes at the reactor.
-        let mut faulty = FaultyBuffer::default().corrupt_frame_payload(1);
-        {
-            let mut writer = FrameWriter::new(&mut faulty);
-            for _ in 0..3 {
-                writer
-                    .write_frame(
-                        &ClientMessage::Login {
-                            username: "alice".into(),
-                            clicks: clicks(),
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-            }
-        }
-        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.write_all(&faulty.bytes).unwrap();
-        let mut reader = FrameReader::new(&mut stream);
-        let mut responses = Vec::new();
-        for _ in 0..3 {
-            responses.push(ServerMessage::decode(reader.read_frame().unwrap()).unwrap());
-        }
+    fn pipelined_requests_are_answered_in_order_and_counted() {
+        let handle = spawn(ServerConfig::fast_for_tests());
+        let wrong: Vec<Point> = clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect();
+        let burst = pipeline_bytes(&[
+            ClientMessage::GetConfig,
+            ClientMessage::Enroll {
+                username: "alice".into(),
+                clicks: clicks(),
+            },
+            login("alice", clicks()),
+            login("alice", wrong),
+            login("alice", clicks()),
+        ]);
+        let responses = exchange(&mut connect(handle.addr()), &burst, 5);
+        assert!(matches!(responses[0], ServerMessage::Config { .. }));
+        assert_eq!(responses[1], ServerMessage::EnrollOk);
+        assert_eq!(responses[2], accepted());
         assert_eq!(
-            responses[0],
+            responses[3],
             ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
+                decision: LoginDecision::Rejected,
+                failures: 1
             }
         );
+        assert_eq!(responses[4], accepted());
+        // Every answered request and every prepared login is counted once,
+        // on whichever serving thread handled it.
+        let workers = handle.stats().workers;
+        assert_eq!(workers.iter().map(|w| w.requests).sum::<u64>(), 5);
+        assert_eq!(workers.iter().map(|w| w.logins).sum::<u64>(), 3);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_wrong_logins_lock_out_in_order() {
+        // Five wrong attempts in one burst: the first three are rejected
+        // with rising failure counts, the rest see the lock.
+        let handle = spawn(ServerConfig::fast_for_tests());
+        handle
+            .server()
+            .store()
+            .enroll(handle.server().system(), "alice", &clicks())
+            .unwrap();
+        let wrong: Vec<Point> = clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect();
+        let burst: Vec<ClientMessage> = (0..5).map(|_| login("alice", wrong.clone())).collect();
+        let responses = exchange(&mut connect(handle.addr()), &pipeline_bytes(&burst), 5);
+        let expected: Vec<ServerMessage> = [
+            (LoginDecision::Rejected, 1),
+            (LoginDecision::Rejected, 2),
+            (LoginDecision::Rejected, 3),
+            (LoginDecision::LockedOut, 3),
+            (LoginDecision::LockedOut, 3),
+        ]
+        .into_iter()
+        .map(|(decision, failures)| ServerMessage::LoginResult { decision, failures })
+        .collect();
+        assert_eq!(responses, expected);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn quit_mid_pipeline_stops_processing_later_requests() {
+        let handle = spawn(ServerConfig::fast_for_tests());
+        let burst = pipeline_bytes(&[
+            ClientMessage::GetConfig,
+            ClientMessage::Quit,
+            ClientMessage::Enroll {
+                username: "never".into(),
+                clicks: clicks(),
+            },
+        ]);
+        let mut stream = connect(handle.addr());
+        let responses = exchange(&mut stream, &burst, 2);
+        assert!(matches!(responses[0], ServerMessage::Config { .. }));
+        assert_eq!(responses[1], ServerMessage::Goodbye);
+        // The server closes after the goodbye: nothing else arrives.
+        let mut buf = [0u8; 1];
+        assert_eq!(stream.read(&mut buf).unwrap_or(0), 0, "closed after Quit");
+        assert_eq!(
+            handle.server().store().len(),
+            0,
+            "post-quit enroll never ran"
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_burst_with_corrupt_or_dropped_frame_stays_in_sync() {
+        let handle = spawn(ServerConfig::fast_for_tests());
+        handle
+            .server()
+            .store()
+            .enroll(handle.server().system(), "alice", &clicks())
+            .unwrap();
+        let mut stream = connect(handle.addr());
+
+        // The middle frame's payload corrupted: it alone fails, with a
+        // protocol error, and the frames around it are served.
+        let corrupt = faulty_logins("alice", FaultyBuffer::default().corrupt_frame_payload(1));
+        let responses = exchange(&mut stream, &corrupt, 3);
+        assert_eq!(responses[0], accepted());
         assert!(
-            matches!(&responses[1], ServerMessage::Error { reason } if reason.contains("integrity"))
+            matches!(&responses[1], ServerMessage::Error { reason } if reason.contains("integrity")),
+            "corrupt frame answered with a protocol error: {:?}",
+            responses[1]
         );
         assert_eq!(
             responses[2],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
-            },
+            accepted(),
             "pipeline stays in sync across the corrupt frame"
         );
+        let protocol_errors: u64 = handle
+            .stats()
+            .workers
+            .iter()
+            .map(|w| w.protocol_errors)
+            .sum();
+        assert_eq!(protocol_errors, 1);
+
+        // The middle frame lost in transit: only that request goes
+        // unanswered, and the next request's answer is its own.
+        let dropped = faulty_logins("alice", FaultyBuffer::default().drop_frame(1));
+        assert_eq!(exchange(&mut stream, &dropped, 2), vec![accepted(); 2]);
+        let probe = pipeline_bytes(&[ClientMessage::GetConfig]);
+        let responses = exchange(&mut stream, &probe, 1);
+        assert!(matches!(responses[0], ServerMessage::Config { .. }));
+
         assert!(!handle.server().lockout().is_locked("alice"));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn one_turns_logins_hash_in_one_run() {
+        let handle = spawn(ServerConfig::fast_for_tests());
+        let store = handle.server().store();
+        for i in 0..8 {
+            store
+                .enroll(handle.server().system(), &format!("user{i}"), &clicks())
+                .unwrap();
+        }
+        let burst: Vec<ClientMessage> = (0..8)
+            .map(|i| login(&format!("user{i}"), clicks()))
+            .collect();
+        let responses = exchange(&mut connect(handle.addr()), &pipeline_bytes(&burst), 8);
+        assert_eq!(responses, vec![accepted(); 8]);
+        let stats = handle.stats().batch;
+        assert_eq!(stats.attempts, 8);
+        assert!(
+            stats.max_run >= 8,
+            "one turn's logins coalesce into one run: {stats:?}"
+        );
         handle.shutdown();
     }
 
@@ -1071,7 +1219,7 @@ mod tests {
         // enroll for the same account must be prepared only after the
         // enrollment group-commits, even though both hash through the
         // compute pool.
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         let mut client = AuthClient::connect(handle.addr()).unwrap();
         let burst = vec![
             ClientMessage::Enroll {
@@ -1126,7 +1274,7 @@ mod tests {
 
     #[test]
     fn login_racing_an_uncommitted_enroll_parks_its_slot_while_others_proceed() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         {
             let mut client = AuthClient::connect(handle.addr()).unwrap();
             client.enroll("carol", &clicks()).unwrap();
@@ -1189,7 +1337,7 @@ mod tests {
 
     #[test]
     fn batch_occupancy_grows_under_concurrent_pipelined_load() {
-        let handle = spawn(reactor_config());
+        let handle = spawn(ServerConfig::fast_for_tests());
         for i in 0..32 {
             let mut client = AuthClient::connect(handle.addr()).unwrap();
             client.enroll(&format!("user{i}"), &clicks()).unwrap();
@@ -1253,7 +1401,7 @@ mod tests {
         // the reactor holds them all with workers=2 (3 threads total).
         let config = ServerConfig {
             workers: 2,
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let idle: Vec<std::net::TcpStream> = (0..128)
@@ -1273,16 +1421,22 @@ mod tests {
 
     #[test]
     fn idle_connections_are_swept_after_the_timeout() {
+        // One compute worker and a short idle timeout: a silent connection
+        // is cut loose (slowloris defense) and the server keeps serving.
         let config = ServerConfig {
+            workers: 1,
             idle_timeout: Duration::from_millis(150),
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
-        let mut idle = std::net::TcpStream::connect(handle.addr()).unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut idle = connect(handle.addr());
         let mut buf = [0u8; 1];
         let got = idle.read(&mut buf).expect("read after server close");
         assert_eq!(got, 0, "idle connection must be closed by the sweep");
+        let mut client = AuthClient::connect(handle.addr()).expect("connect");
+        let (scheme, n) = client.get_config().expect("get config");
+        assert_eq!((scheme.as_str(), n), ("centered:9", 5));
+        client.quit().unwrap();
         handle.shutdown();
     }
 
@@ -1290,7 +1444,7 @@ mod tests {
     fn max_connections_cap_refuses_by_immediate_close() {
         let config = ServerConfig {
             max_connections: 2,
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
         let _a = std::net::TcpStream::connect(handle.addr()).unwrap();
@@ -1307,47 +1461,118 @@ mod tests {
         handle.shutdown();
     }
 
+    /// Length of the username every bulky request carries; the server
+    /// echoes it in each "unknown account" reply, so every response is at
+    /// least this many bytes.
+    const BULKY_NAME_LEN: usize = 967;
+
     /// Encoded request bytes whose responses are each ~1 KiB: logins for
-    /// unknown accounts echo the (maximally long, index-tagged) username
-    /// in the error reason, so a few thousand requests produce megabytes
-    /// of response traffic — more than kernel socket buffers absorb,
-    /// which is what forces the 256 KiB write-backpressure cap and the
-    /// EPOLLOUT partial-write path over real TCP.
+    /// unknown accounts echo the (long, index-tagged) username in the
+    /// error reason, so a few thousand requests produce megabytes of
+    /// response traffic.
     fn bulky_request_bytes(count: usize) -> Vec<u8> {
-        let filler = "x".repeat(960);
+        let filler = "x".repeat(BULKY_NAME_LEN - 7);
         let mut bytes = Vec::new();
         let mut writer = FrameWriter::new(&mut bytes);
         for i in 0..count {
             writer
-                .write_frame_buffered(
-                    &ClientMessage::Login {
-                        username: format!("u{i:05}-{filler}"),
-                        clicks: clicks(),
-                    }
-                    .encode(),
-                )
+                .write_frame_buffered(&login(&format!("u{i:05}-{filler}"), clicks()).encode())
                 .unwrap();
         }
         bytes
     }
 
+    /// Receive buffer the slow-reader tests pin on their client, so the
+    /// kernel cannot autotune it up to `tcp_rmem`'s maximum and swallow
+    /// the whole response stream.
+    const PINNED_RCVBUF: usize = 64 * 1024;
+
+    /// Connect to `addr` with the receive buffer pinned to
+    /// [`PINNED_RCVBUF`].
+    fn connect_pinned(addr: SocketAddr) -> TcpStream {
+        let stream = connect(addr);
+        crate::sys::set_recv_buffer(stream.as_raw_fd(), PINNED_RCVBUF).unwrap();
+        stream
+    }
+
+    /// How many bulky requests a peer that reads nothing must send so the
+    /// server's write buffer is forced past [`WRITE_BACKPRESSURE_CAP`]
+    /// whatever the host's socket-buffer tuning.
+    ///
+    /// Responses the peer does not read park in two kernel buffers: the
+    /// peer's receive buffer and the server socket's send buffer.  A probe
+    /// connection with the same pinned receive buffer is written into
+    /// until the kernel takes nothing more (the send buffer autotunes
+    /// while it fills); the sizes the kernel then reports, `SO_RCVBUF` on
+    /// the client and `SO_SNDBUF` on the server side, bound what the
+    /// stalled connection can park.  Twice that, plus the cap, leaves the
+    /// server's own buffer over the cap with room to spare.
+    fn stalling_request_count() -> usize {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = connect_pinned(listener.local_addr().unwrap());
+        let (mut server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        let chunk = vec![0u8; 64 * 1024];
+        let mut idle_rounds = 0;
+        while idle_rounds < 3 {
+            match server_side.write(&chunk) {
+                Ok(_) => idle_rounds = 0,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    idle_rounds += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("probe write failed: {e}"),
+            }
+        }
+        let parked = crate::sys::recv_buffer(client.as_raw_fd()).unwrap()
+            + crate::sys::send_buffer(server_side.as_raw_fd()).unwrap();
+        (2 * parked + WRITE_BACKPRESSURE_CAP) / BULKY_NAME_LEN + 1
+    }
+
+    /// Wait until the server has stopped answering requests — its write
+    /// buffer reached the cap and it paused reading — and return how many
+    /// it answered.  Polled, not slept: how long the server takes to fill
+    /// the kernel's buffers depends on their size and the build profile.
+    fn wait_for_stall(handle: &crate::server::ServerHandle) -> u64 {
+        let answered = || {
+            handle
+                .stats()
+                .workers
+                .iter()
+                .map(|w| w.requests)
+                .sum::<u64>()
+        };
+        let mut last = answered();
+        let mut quiet_polls = 0;
+        while quiet_polls < 3 {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = answered();
+            if now == last {
+                quiet_polls += 1;
+            } else {
+                (last, quiet_polls) = (now, 0);
+            }
+        }
+        last
+    }
+
     #[test]
     fn peer_that_stops_reading_is_swept_after_the_write_timeout() {
-        // ~6 MiB of responses for a peer that reads nothing: the server's
-        // write buffer must stall at the backpressure cap, and a stall
-        // that makes no progress for `write_timeout` must close the
-        // connection — otherwise the peer pins its buffers and a
-        // `max_connections` slot forever.
+        // A peer that reads nothing: the server's write buffer must stall
+        // at the backpressure cap, and a stall that makes no progress for
+        // `write_timeout` must close the connection — otherwise the peer
+        // pins its buffers and a `max_connections` slot forever.
         let config = ServerConfig {
             write_timeout: Duration::from_millis(300),
-            ..reactor_config()
+            ..ServerConfig::fast_for_tests()
         };
         let handle = spawn(config);
-        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let count = stalling_request_count();
+        let bytes = bulky_request_bytes(count);
+        let mut stream = connect_pinned(handle.addr());
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
-        let bytes = bulky_request_bytes(6000);
         let mut write_half = stream.try_clone().unwrap();
         let writer_thread = std::thread::spawn(move || {
             // Stalls once the server pauses reading at its cap; errors
@@ -1355,6 +1580,11 @@ mod tests {
             // must not outlive the sweep window by much.
             let _ = write_half.write_all(&bytes);
         });
+        let answered = wait_for_stall(&handle) as usize;
+        assert!(
+            answered < count,
+            "the server answered all {count} requests without stalling"
+        );
         // Accept nothing for well past the write timeout.
         std::thread::sleep(Duration::from_millis(1200));
         // The sweep must have closed the connection: reads drain whatever
@@ -1394,16 +1624,16 @@ mod tests {
 
     #[test]
     fn write_backpressure_survives_a_slow_reader() {
-        // ~4 MiB of responses bursted while the client reads nothing for
-        // 300 ms, then drained: forces the cap, EPOLLOUT partial writes
-        // and the read-pause/resume cycle — and every response must still
-        // come back in order (the index-tagged username proves it).
-        let handle = spawn(reactor_config());
-        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        // Megabytes of responses bursted while the client reads nothing
+        // for 300 ms, then drained: forces the cap, EPOLLOUT partial
+        // writes and the read-pause/resume cycle — and every response must
+        // still come back in order (the index-tagged username proves it).
+        let handle = spawn(ServerConfig::fast_for_tests());
+        let count = stalling_request_count();
+        let mut stream = connect_pinned(handle.addr());
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let count = 4000;
         let bytes = bulky_request_bytes(count);
         let mut write_half = stream.try_clone().unwrap();
         let writer_thread = std::thread::spawn(move || {
@@ -1411,9 +1641,14 @@ mod tests {
                 .write_all(&bytes)
                 .expect("request burst delivered");
         });
-        // Let the server hit the cap while we read nothing (well under
-        // the 5 s default write_timeout, so it must NOT be swept).
-        std::thread::sleep(Duration::from_millis(300));
+        // Let the server hit the cap while we read nothing (the stall is
+        // detected well under the 5 s default write_timeout, so it must
+        // NOT be swept).
+        let answered = wait_for_stall(&handle) as usize;
+        assert!(
+            answered < count,
+            "the server answered all {count} requests without stalling"
+        );
         {
             let mut reader = FrameReader::new(&mut stream);
             for i in 0..count {

@@ -6,31 +6,28 @@
 //!    [`ShardedPasswordStore`] (which also caches each account's per-salt
 //!    hashing state) and failure counts in a sharded [`LockoutTracker`],
 //!    so serving threads contend only when they touch the same partition.
-//! 2. **Connection multiplexing** ([`ServerConfig::serving`]) —
-//!    [`AuthServer::spawn`] serves either through the `epoll` reactor
-//!    ([`crate::reactor`], Linux default: connections decoupled from
-//!    threads) or through a bounded blocking worker pool fed from a
-//!    bounded connection queue (accepting parks when the queue is full).
-//!    Either way, a serving turn drains every request frame already
-//!    buffered on a connection (up to [`ServerConfig::pipeline_max`]) and
-//!    answers in order, so a client may keep many requests in flight and
-//!    per-request syscall cost amortizes across the pipeline.
-//! 3. **Cross-connection batch verification** — the expensive iterated
-//!    hash of each login goes through the shared [`BatchVerifier`], which
-//!    coalesces up to [`ServerConfig::batch_max`] attempts (from one
-//!    pipeline or from many connections) into a single multi-lane
-//!    [`gp_crypto::iterated_hash_many_salted`] run — the PR 1 fast path.
+//! 2. **Connection multiplexing** — [`AuthServer::spawn`] serves through
+//!    the `epoll` reactor (`crate::reactor`): one event-loop thread owns
+//!    every connection, so connections are decoupled from threads.
+//!    Serving is Linux-only; elsewhere `spawn` returns an
+//!    [`std::io::ErrorKind::Unsupported`] error.  A serving turn drains
+//!    every request frame already buffered on a connection (up to
+//!    [`ServerConfig::pipeline_max`]) and answers in order, so a client may
+//!    keep many requests in flight and per-request syscall cost amortizes
+//!    across the pipeline.
+//! 3. **Cross-connection batch verification** — the reactor's
+//!    hash-compute workers merge queued turns from many connections (up to
+//!    [`ServerConfig::batch_max`] hash jobs) and run them through the
+//!    shared [`BatchVerifier`] as multi-lane
+//!    [`gp_crypto::iterated_hash_many_salted`] runs.
 //!
 //! Request handling stays a pure function ([`AuthServer::handle_message`])
 //! so the protocol logic is unit-testable without sockets; the turn
-//! phases (prepare / batch hash / settle) are shared by the blocking loop
-//! ([`AuthServer::serve_streams`], generic over `Read`/`Write` so
-//! fault-injection tests can drive it with in-memory transports) and the
-//! reactor's state machines.
+//! phases the reactor drives (prepare / batch hash / settle / group
+//! commit) live here too.
 
 use crate::batch::{BatchStats, BatchVerifier, HashJob};
 use crate::error::NetAuthError;
-use crate::framing::{FrameReader, FrameWriter};
 use crate::lockout::LockoutTracker;
 use crate::pending::PendingAccounts;
 use crate::protocol::{ClientMessage, LoginDecision, ServerMessage};
@@ -42,54 +39,19 @@ use gp_passwords::{
     DiscretizationConfig, DurabilityOptions, FsyncPolicy, GraphicalPasswordSystem, PasswordPolicy,
     ShardStats, ShardedPasswordStore, StoredPassword, VerifyScratch, WalEntry,
 };
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Consecutive undecodable/corrupt frames tolerated on one connection
-/// before the server gives up on it (a desynced or hostile peer).
-pub(crate) const MAX_CONSECUTIVE_PROTOCOL_ERRORS: u32 = 32;
-
-/// How often blocked workers re-check the shutdown flag.
+/// How often waiting serving threads re-check the shutdown flag.
 pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
-/// How long a worker may block writing a response before the connection is
-/// declared dead.  A peer that stops reading (full kernel send buffer)
-/// must not wedge a worker in `flush()` — or `ServerHandle::shutdown`,
-/// which joins every worker.
+/// Default [`ServerConfig::write_timeout`]: how long a peer may accept no
+/// response bytes before its connection is declared dead.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How connections are multiplexed onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingMode {
-    /// Event-driven `epoll` reactor (Linux): one reactor thread owns every
-    /// connection's nonblocking state machine and a small hash-compute
-    /// pool does the iterated hashing, so connection count is decoupled
-    /// from thread count.  Falls back to [`ServingMode::WorkerPool`] on
-    /// non-Linux targets.
-    Reactor,
-    /// Blocking worker pool: each worker thread parks on one connection at
-    /// a time, so concurrent-connection capacity is capped near
-    /// [`ServerConfig::workers`].
-    WorkerPool,
-}
-
-impl ServingMode {
-    /// The best mode the target supports: [`ServingMode::Reactor`] on
-    /// Linux, [`ServingMode::WorkerPool`] elsewhere.
-    pub fn platform_default() -> Self {
-        if cfg!(target_os = "linux") {
-            Self::Reactor
-        } else {
-            Self::WorkerPool
-        }
-    }
-}
 
 /// Crash-safety knobs for the serving layer's account store.
 ///
@@ -150,40 +112,33 @@ pub struct ServerConfig {
     pub max_failures: u32,
     /// Partitions for the account store and lockout tracker.
     pub shards: usize,
-    /// Compute parallelism: hash-compute threads in [`ServingMode::Reactor`]
-    /// (the reactor itself adds one event-loop thread), per-connection
-    /// worker threads in [`ServingMode::WorkerPool`].
+    /// Hash-compute threads (the reactor itself adds one event-loop
+    /// thread).
     pub workers: usize,
-    /// How connections are multiplexed onto threads.
-    pub serving: ServingMode,
-    /// Maximum simultaneously open connections in reactor mode (further
-    /// accepts are immediately closed).  The pool mode's cap is implicit:
-    /// `workers + pending_connections`.
+    /// Maximum simultaneously open connections (further accepts are
+    /// immediately closed).
     pub max_connections: usize,
     /// Maximum login attempts coalesced into one multi-lane hash run
     /// (1 = scalar verification, the pre-batching baseline).
     pub batch_max: usize,
-    /// How long a batch leader waits for attempts from other connections
-    /// before running a partial batch.
+    /// Has no effect.  Coalescing happens in the reactor's turn queue,
+    /// which never waits for stragglers; the field stays only because
+    /// existing callers (the `perfbench` crate) read it and pass it to
+    /// [`BatchVerifier::new`].
     pub coalesce_window: Duration,
     /// Maximum request frames drained from one connection per turn.
     pub pipeline_max: usize,
-    /// Bounded depth of the accepted-connection queue (accepting blocks
-    /// when full — backpressure instead of unbounded thread growth).
-    pub pending_connections: usize,
     /// Maximum accounts tracked by the lockout sweep (per generation).
     pub lockout_capacity: usize,
-    /// How long a worker waits for the next request before dropping an
-    /// idle connection.  With a bounded pool a connection occupies a
-    /// worker while open, so idle peers (deliberate or not) must not be
-    /// able to hold workers forever.  `Duration::ZERO` disables the limit
-    /// (in-memory transports in tests).
+    /// How long a connection may go without sending a complete request
+    /// frame before the reactor's sweep closes it, so idle or
+    /// byte-trickling peers cannot hold connection slots forever.
+    /// `Duration::ZERO` disables the limit.
     pub idle_timeout: Duration,
     /// How long a peer may accept *no* response bytes before the
-    /// connection is declared dead.  The pool enforces it as a blocking
-    /// socket write timeout; the reactor sweeps connections whose pending
-    /// output made no progress for this long.  `Duration::ZERO` disables
-    /// the limit.
+    /// connection is declared dead: the reactor sweeps connections whose
+    /// pending output made no progress for this long.  `Duration::ZERO`
+    /// disables the limit.
     pub write_timeout: Duration,
     /// Crash-safe durability for the account store (`None` = in-memory:
     /// the pre-durability behavior, and the right choice for benches and
@@ -193,8 +148,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A PassPoints-style deployment with Centered Discretization (r = 9)
-    /// on the study image, three-strikes lockout, four shards and a small
-    /// worker pool with 16-way batch verification.
+    /// on the study image, three-strikes lockout, four shards and four
+    /// hash-compute threads with 16-way batch verification.
     pub fn study_default() -> Self {
         Self {
             image: ImageDims::STUDY,
@@ -204,12 +159,10 @@ impl ServerConfig {
             max_failures: 3,
             shards: 4,
             workers: 4,
-            serving: ServingMode::platform_default(),
             max_connections: 4096,
             batch_max: gp_crypto::LANES,
-            coalesce_window: Duration::from_micros(200),
+            coalesce_window: Duration::ZERO,
             pipeline_max: 32,
-            pending_connections: 128,
             lockout_capacity: 65_536,
             idle_timeout: Duration::from_secs(10),
             write_timeout: WRITE_TIMEOUT,
@@ -224,35 +177,11 @@ impl ServerConfig {
             ..Self::study_default()
         }
     }
-
-    /// The pre-sharding serving shape: one shard, one blocking worker,
-    /// scalar verification.  The `authload` bench drives this as the
-    /// baseline the sharded/pooled/batched configuration is measured
-    /// against.
-    pub fn single_worker_baseline() -> Self {
-        Self {
-            shards: 1,
-            workers: 1,
-            serving: ServingMode::WorkerPool,
-            batch_max: 1,
-            coalesce_window: Duration::ZERO,
-            ..Self::study_default()
-        }
-    }
-
-    /// The PR 2 serving shape: blocking worker pool with sharding and
-    /// batching, no reactor.  `authload` measures the reactor against this.
-    pub fn pooled_baseline() -> Self {
-        Self {
-            serving: ServingMode::WorkerPool,
-            ..Self::study_default()
-        }
-    }
 }
 
-/// Per-worker serving counters (atomics; [`ServerHandle::stats`] snapshots
-/// them into [`WorkerStatsSnapshot`]s).  In reactor mode the first entry
-/// belongs to the event-loop thread and the rest to hash-compute workers.
+/// Per-thread serving counters (atomics; [`ServerHandle::stats`] snapshots
+/// them into [`WorkerStatsSnapshot`]s).  The first entry belongs to the
+/// reactor's event-loop thread and the rest to hash-compute workers.
 #[derive(Debug, Default)]
 pub struct WorkerMetrics {
     pub(crate) connections: AtomicU64,
@@ -264,9 +193,10 @@ pub struct WorkerMetrics {
 /// Point-in-time copy of one worker's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
-    /// Worker index within the pool.
+    /// Thread index: 0 is the reactor's event loop, then one per
+    /// hash-compute worker.
     pub worker: usize,
-    /// Connections this worker has served.
+    /// Connections accepted (counted by the event loop only).
     pub connections: u64,
     /// Requests answered (all message kinds).
     pub requests: u64,
@@ -291,7 +221,7 @@ impl WorkerMetrics {
 /// Aggregate serving statistics: per-worker, per-shard and batching.
 #[derive(Debug, Clone)]
 pub struct ServerStats {
-    /// One snapshot per pool worker.
+    /// One snapshot per serving thread (event loop first).
     pub workers: Vec<WorkerStatsSnapshot>,
     /// Account-store shard sizes and traffic.
     pub shards: Vec<ShardStats>,
@@ -327,11 +257,9 @@ pub(crate) enum Planned {
 }
 
 /// One connection turn after phase 1: the in-order response plan, the hash
-/// jobs it needs, and whether the turn ends the connection.
-///
-/// Shared by the blocking pipelined loop (which hashes and settles
-/// immediately) and the reactor (which ships the turn to the hash-compute
-/// pool and settles on completion).
+/// jobs it needs, and whether the turn ends the connection.  The reactor
+/// ships a turn with hash jobs to the hash-compute pool and settles it on
+/// completion; a turn without any settles inline.
 pub(crate) struct PreparedTurn {
     pub(crate) planned: Vec<Planned>,
     pub(crate) jobs: Vec<HashJob>,
@@ -461,20 +389,17 @@ impl AuthServer {
 
     /// Handle a single request (protocol logic, no I/O).
     ///
-    /// Logins route through the same split-phase prepare/batch/finish path
-    /// the pipelined loop uses, so even the one-at-a-time entry point hits
-    /// the multi-lane-capable verifier.
+    /// Logins and enrollments route through the same split-phase
+    /// prepare / hash / settle path the reactor drives, hashing on the
+    /// calling thread with [`BatchVerifier::run_direct`].
     pub fn handle_message(&self, message: ClientMessage) -> ServerMessage {
         match message {
-            ClientMessage::GetConfig => ServerMessage::Config {
-                scheme: self.config.discretization.to_header(),
-                clicks: self.config.clicks as u32,
-            },
+            ClientMessage::GetConfig => self.config_response(),
             ClientMessage::Quit => ServerMessage::Goodbye,
             ClientMessage::Enroll { username, clicks } => {
                 let mut jobs = Vec::new();
                 let planned = self.prepare_enroll(username, &clicks, &mut jobs);
-                let digests = self.verifier.submit(jobs);
+                let digests = self.verifier.run_direct(&jobs);
                 self.settle_responses(vec![planned], &digests)
                     .pop()
                     .unwrap_or_else(|| ServerMessage::Error {
@@ -485,13 +410,21 @@ impl AuthServer {
                 let mut scratch = VerifyScratch::new();
                 let mut jobs = Vec::new();
                 let planned = self.prepare_login(username, &clicks, &mut scratch, &mut jobs);
-                let digests = self.verifier.submit(jobs);
+                let digests = self.verifier.run_direct(&jobs);
                 self.settle_responses(vec![planned], &digests)
                     .pop()
                     .unwrap_or_else(|| ServerMessage::Error {
                         reason: "internal: settle produced no response".to_string(),
                     })
             }
+        }
+    }
+
+    /// The `Config` answer to a `GetConfig` request.
+    fn config_response(&self) -> ServerMessage {
+        ServerMessage::Config {
+            scheme: self.config.discretization.to_header(),
+            clicks: self.config.clicks as u32,
         }
     }
 
@@ -655,11 +588,7 @@ impl AuthServer {
                 ClientMessage::Enroll { username, clicks } => {
                     planned.push(self.prepare_enroll(username, &clicks, &mut jobs));
                 }
-                // Only GetConfig/Quit reach here (Login/Enroll matched
-                // above), and neither touches the store or the WAL; the
-                // static call graph cannot see the match narrowing.
-                // gp-lint: allow(L5, only store-free GetConfig/Quit reach handle_message here)
-                other => planned.push(Planned::Respond(self.handle_message(other))),
+                ClientMessage::GetConfig => planned.push(Planned::Respond(self.config_response())),
             }
         }
         PreparedTurn {
@@ -784,9 +713,9 @@ impl AuthServer {
 
     /// Settle one turn and commit it immediately: the single-turn
     /// convenience over [`AuthServer::settle_turn`] +
-    /// [`AuthServer::commit_enrolls`] used by the blocking pool path and
-    /// direct callers.  The reactor's compute loop calls the two phases
-    /// itself so one barrier covers a whole coalesced batch.
+    /// [`AuthServer::commit_enrolls`] used by [`AuthServer::handle_message`]
+    /// and the reactor's inline (hash-free) turns.  The compute loop calls
+    /// the two phases itself so one barrier covers a whole coalesced batch.
     pub(crate) fn settle_responses(
         &self,
         planned: Vec<Planned>,
@@ -818,9 +747,9 @@ impl AuthServer {
         ServerMessage::LoginResult { decision, failures }
     }
 
-    /// Aggregate serving statistics.  `workers` carries one entry per pool
-    /// worker when called through [`ServerHandle::stats`]; direct callers
-    /// with no running pool get an empty list.
+    /// Aggregate serving statistics.  `workers` carries one entry per
+    /// serving thread when called through [`ServerHandle::stats`]; direct
+    /// callers with no running server get an empty list.
     fn stats_with_workers(&self, workers: Vec<WorkerStatsSnapshot>) -> ServerStats {
         ServerStats {
             workers,
@@ -831,13 +760,11 @@ impl AuthServer {
     }
 
     /// Bind to `127.0.0.1:0` and serve connections until the returned
-    /// handle is shut down or dropped.
+    /// handle is shut down or dropped: one `epoll` reactor thread plus
+    /// [`ServerConfig::workers`] hash-compute threads.
     ///
-    /// [`ServerConfig::serving`] picks the multiplexing strategy: the
-    /// `epoll` reactor (Linux; one event-loop thread plus
-    /// [`ServerConfig::workers`] hash-compute threads) or the blocking
-    /// worker pool.  Requesting the reactor on a non-Linux target quietly
-    /// serves through the pool instead.
+    /// Serving needs the reactor, which is Linux-only: on other targets
+    /// this returns an [`std::io::ErrorKind::Unsupported`] error.
     pub fn spawn(self) -> Result<ServerHandle, NetAuthError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -860,223 +787,40 @@ impl AuthServer {
         Ok(handle)
     }
 
-    /// Spawn the serving threads for the configured [`ServingMode`].
+    /// Spawn the reactor and its hash-compute pool.
+    #[cfg(target_os = "linux")]
     fn spawn_serving(
         server: Arc<AuthServer>,
         listener: TcpListener,
         addr: SocketAddr,
         shutdown: Arc<AtomicBool>,
     ) -> Result<ServerHandle, NetAuthError> {
-        #[cfg(target_os = "linux")]
-        if server.config.serving == ServingMode::Reactor {
-            let parts = crate::reactor::spawn_reactor(
-                Arc::clone(&server),
-                listener,
-                Arc::clone(&shutdown),
-            )?;
-            return Ok(ServerHandle {
-                addr,
-                shutdown,
-                accept_join: Some(parts.reactor_join),
-                worker_joins: parts.compute_joins,
-                worker_metrics: parts.metrics,
-                server,
-                snapshot_join: None,
-                graceful: true,
-            });
-        }
-        Self::spawn_pool(server, listener, addr, shutdown)
-    }
-
-    /// Blocking worker-pool serving (the pre-reactor shape; the only shape
-    /// on non-Linux targets).
-    fn spawn_pool(
-        server: Arc<AuthServer>,
-        listener: TcpListener,
-        addr: SocketAddr,
-        shutdown: Arc<AtomicBool>,
-    ) -> Result<ServerHandle, NetAuthError> {
-        let worker_count = server.config.workers.max(1);
-        let (tx, rx) =
-            std::sync::mpsc::sync_channel::<TcpStream>(server.config.pending_connections.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut worker_metrics = Vec::with_capacity(worker_count);
-        let mut worker_joins = Vec::with_capacity(worker_count);
-        for index in 0..worker_count {
-            let metrics = Arc::new(WorkerMetrics::default());
-            worker_metrics.push(Arc::clone(&metrics));
-            let server = Arc::clone(&server);
-            let rx = Arc::clone(&rx);
-            let shutdown = Arc::clone(&shutdown);
-            worker_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("gp-auth-worker-{index}"))
-                    .spawn(move || worker_loop(&server, &rx, &shutdown, &metrics))
-                    .map_err(NetAuthError::Io)?,
-            );
-        }
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let write_timeout = server.config.write_timeout;
-        let accept_join = std::thread::Builder::new()
-            .name("gp-auth-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { break };
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(SHUTDOWN_POLL));
-                    let _ = stream
-                        .set_write_timeout((!write_timeout.is_zero()).then_some(write_timeout));
-                    // Blocking send = backpressure once `pending_connections`
-                    // connections are queued — the accept thread parks on the
-                    // channel instead of spin-sleeping.  Shutdown unblocks it:
-                    // the workers exit (they poll the flag every 50 ms), the
-                    // receiver drops, and the send fails.
-                    if tx.send(stream).is_err() {
-                        return;
-                    }
-                }
-                // `tx` drops here: workers drain the queue and exit.
-            })
-            .map_err(NetAuthError::Io)?;
-
+        let parts =
+            crate::reactor::spawn_reactor(Arc::clone(&server), listener, Arc::clone(&shutdown))?;
         Ok(ServerHandle {
             addr,
             shutdown,
-            accept_join: Some(accept_join),
-            worker_joins,
-            worker_metrics,
+            reactor_join: Some(parts.reactor_join),
+            worker_joins: parts.compute_joins,
+            worker_metrics: parts.metrics,
             server,
             snapshot_join: None,
             graceful: true,
         })
     }
 
-    /// Serve one connection's request pipeline over arbitrary transports
-    /// until EOF, `Quit`, shutdown, or an unrecoverable framing error.
-    ///
-    /// Reads are buffered: after the first (blocking) frame of a turn, any
-    /// further frames already buffered — up to
-    /// [`ServerConfig::pipeline_max`] — are drained and answered together,
-    /// in order, with the whole turn's login hashes batched through the
-    /// [`BatchVerifier`].  A frame that fails its integrity check fails
-    /// *only that request* (the length prefix keeps the stream in sync):
-    /// the server answers it with a protocol error and keeps serving,
-    /// giving up only after 32 consecutive bad frames
-    /// (`MAX_CONSECUTIVE_PROTOCOL_ERRORS`).
-    pub fn serve_streams<R: Read, W: Write>(
-        &self,
-        reader: R,
-        writer: W,
-        shutdown: &AtomicBool,
-        metrics: &WorkerMetrics,
-    ) -> Result<(), NetAuthError> {
-        let mut reader = FrameReader::new(BufReader::new(reader));
-        let mut writer = FrameWriter::new(BufWriter::new(writer));
-        let mut scratch = VerifyScratch::new();
-        let mut consecutive_errors = 0u32;
-
-        loop {
-            // Block (with shutdown polling) for the turn's first frame.
-            // With a bounded pool a connection occupies its worker, so an
-            // idle peer is dropped after `idle_timeout` — otherwise
-            // `workers` silent connections would starve the whole server.
-            let idle_since = std::time::Instant::now();
-            let first = loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                match reader.read_frame() {
-                    Ok(frame) => break Some(frame),
-                    Err(NetAuthError::UnexpectedEof) => return Ok(()),
-                    Err(NetAuthError::IntegrityFailure) => break None,
-                    Err(NetAuthError::Io(e))
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if !self.config.idle_timeout.is_zero()
-                            && idle_since.elapsed() >= self.config.idle_timeout
-                        {
-                            return Ok(());
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-
-            // Drain whatever else the pipeline already delivered.
-            let mut frames = std::collections::VecDeque::from(vec![first]);
-            let mut fatal: Option<NetAuthError> = None;
-            while frames.len() < self.config.pipeline_max.max(1) && reader.frame_buffered() {
-                match reader.read_frame() {
-                    Ok(frame) => frames.push_back(Some(frame)),
-                    Err(NetAuthError::IntegrityFailure) => frames.push_back(None),
-                    // Answer what we have before surfacing the failure.
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
-                    }
-                }
-            }
-
-            // Prepare / batch-hash / settle, repeating while `prepare_turn`
-            // stops at a per-account write barrier with frames queued.
-            let mut quitting = false;
-            while !frames.is_empty() && !quitting {
-                let prepared =
-                    self.prepare_turn(&mut frames, &mut scratch, metrics, &mut consecutive_errors);
-                if prepared.planned.is_empty() && prepared.jobs.is_empty() {
-                    if let Some(username) = prepared.parked {
-                        // The turn opened on a login racing another
-                        // connection's in-flight enroll for the same
-                        // account: wait (shutdown-aware) for its group
-                        // commit, then re-prepare the queued frames.
-                        if shutdown.load(Ordering::SeqCst) {
-                            return Ok(());
-                        }
-                        self.pending.wait_clear(&username, SHUTDOWN_POLL);
-                        continue;
-                    }
-                }
-                let digests = self.verifier.submit(prepared.jobs);
-                quitting = prepared.quitting;
-                for response in self.settle_responses(prepared.planned, &digests) {
-                    writer.write_frame_buffered(&response.encode())?;
-                    metrics.requests.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            writer.flush()?;
-
-            if quitting {
-                return Ok(());
-            }
-            if let Some(e) = fatal {
-                return Err(e);
-            }
-            if consecutive_errors >= MAX_CONSECUTIVE_PROTOCOL_ERRORS {
-                return Err(NetAuthError::Malformed {
-                    reason: "too many consecutive protocol errors".into(),
-                });
-            }
-        }
-    }
-
-    /// Serve a single TCP connection (worker entry point).
-    fn serve_connection(
-        &self,
-        stream: TcpStream,
-        shutdown: &AtomicBool,
-        metrics: &WorkerMetrics,
-    ) -> Result<(), NetAuthError> {
-        let reader_stream = stream.try_clone()?;
-        self.serve_streams(reader_stream, stream, shutdown, metrics)
+    /// No reactor off Linux, so nothing can serve.
+    #[cfg(not(target_os = "linux"))]
+    fn spawn_serving(
+        _server: Arc<AuthServer>,
+        _listener: TcpListener,
+        _addr: SocketAddr,
+        _shutdown: Arc<AtomicBool>,
+    ) -> Result<ServerHandle, NetAuthError> {
+        Err(NetAuthError::Io(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "serving requires the Linux epoll reactor",
+        )))
     }
 }
 
@@ -1100,40 +844,13 @@ fn snapshot_loop(
     }
 }
 
-/// Pool worker: pull connections from the shared queue until shutdown.
-fn worker_loop(
-    server: &AuthServer,
-    rx: &Mutex<Receiver<TcpStream>>,
-    shutdown: &AtomicBool,
-    metrics: &WorkerMetrics,
-) {
-    loop {
-        let received = {
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv_timeout(SHUTDOWN_POLL)
-        };
-        match received {
-            Ok(stream) => {
-                metrics.connections.fetch_add(1, Ordering::Relaxed);
-                let _ = server.serve_connection(stream, shutdown, metrics);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 /// Handle to a running server; shuts the server down (gracefully) when
 /// dropped.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_join: Option<JoinHandle<()>>,
+    reactor_join: Option<JoinHandle<()>>,
     worker_joins: Vec<JoinHandle<()>>,
     worker_metrics: Vec<Arc<WorkerMetrics>>,
     server: Arc<AuthServer>,
@@ -1166,9 +883,10 @@ impl ServerHandle {
         )
     }
 
-    /// Graceful shutdown: stop accepting, let every worker finish the
-    /// connection it is serving, join the pool, and — on a durable store
-    /// — compact every shard into a final atomic snapshot.
+    /// Graceful shutdown: stop the reactor (open connections see EOF),
+    /// join the hash-compute pool once it has settled every queued turn,
+    /// and — on a durable store — compact every shard into a final atomic
+    /// snapshot.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -1186,9 +904,9 @@ impl ServerHandle {
 
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
+        // Wake the reactor's epoll wait with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(join) = self.accept_join.take() {
+        if let Some(join) = self.reactor_join.take() {
             let _ = join.join();
         }
         for join in self.worker_joins.drain(..) {
@@ -1198,7 +916,7 @@ impl ServerHandle {
             let _ = join.join();
         }
         if self.graceful {
-            // Workers are parked: no writer races the final flush. Force
+            // Serving threads are joined: no writer races the final flush. Force
             // any unsynced Batch(n) WAL tail to stable storage *first*, so
             // the last sub-batch survives even if the compaction below
             // fails partway; then compact. In-memory stores no-op both.
@@ -1358,402 +1076,5 @@ mod tests {
                 failures: 1
             }
         );
-    }
-
-    /// Build the wire bytes of a request pipeline.
-    fn pipeline_bytes(messages: &[ClientMessage]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        let mut writer = FrameWriter::new(&mut bytes);
-        for m in messages {
-            writer.write_frame(&m.encode()).unwrap();
-        }
-        bytes
-    }
-
-    /// Decode every response frame the server wrote.
-    fn decode_responses(bytes: &[u8]) -> Vec<ServerMessage> {
-        let mut reader = FrameReader::new(std::io::Cursor::new(bytes));
-        let mut responses = Vec::new();
-        while let Ok(frame) = reader.read_frame() {
-            responses.push(ServerMessage::decode(frame).unwrap());
-        }
-        responses
-    }
-
-    #[test]
-    fn pipelined_requests_are_answered_in_order() {
-        let server = server();
-        let requests: Vec<ClientMessage> = vec![
-            ClientMessage::GetConfig,
-            ClientMessage::Enroll {
-                username: "alice".into(),
-                clicks: clicks(),
-            },
-            ClientMessage::Login {
-                username: "alice".into(),
-                clicks: clicks(),
-            },
-            ClientMessage::Login {
-                username: "alice".into(),
-                clicks: clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect(),
-            },
-            ClientMessage::Login {
-                username: "alice".into(),
-                clicks: clicks(),
-            },
-        ];
-        let input = pipeline_bytes(&requests);
-        let mut output = Vec::new();
-        let metrics = WorkerMetrics::default();
-        server
-            .serve_streams(
-                std::io::Cursor::new(input),
-                &mut output,
-                &AtomicBool::new(false),
-                &metrics,
-            )
-            .unwrap();
-        let responses = decode_responses(&output);
-        assert_eq!(responses.len(), 5);
-        assert!(matches!(responses[0], ServerMessage::Config { .. }));
-        assert_eq!(responses[1], ServerMessage::EnrollOk);
-        assert_eq!(
-            responses[2],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
-            }
-        );
-        assert_eq!(
-            responses[3],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Rejected,
-                failures: 1
-            }
-        );
-        assert_eq!(
-            responses[4],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
-            }
-        );
-        assert_eq!(metrics.snapshot(0).requests, 5);
-        assert_eq!(metrics.snapshot(0).logins, 3);
-    }
-
-    #[test]
-    fn pipelined_lockout_matches_sequential_semantics() {
-        // Five wrong attempts in one pipeline: the first three are
-        // rejected with rising failure counts, the rest see the lock.
-        let server = server();
-        server.handle_message(ClientMessage::Enroll {
-            username: "alice".into(),
-            clicks: clicks(),
-        });
-        let wrong: Vec<Point> = clicks().iter().map(|p| p.offset(-30.0, -30.0)).collect();
-        let requests: Vec<ClientMessage> = (0..5)
-            .map(|_| ClientMessage::Login {
-                username: "alice".into(),
-                clicks: wrong.clone(),
-            })
-            .collect();
-        let input = pipeline_bytes(&requests);
-        let mut output = Vec::new();
-        server
-            .serve_streams(
-                std::io::Cursor::new(input),
-                &mut output,
-                &AtomicBool::new(false),
-                &WorkerMetrics::default(),
-            )
-            .unwrap();
-        let responses = decode_responses(&output);
-        assert_eq!(
-            responses,
-            vec![
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::Rejected,
-                    failures: 1
-                },
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::Rejected,
-                    failures: 2
-                },
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::Rejected,
-                    failures: 3
-                },
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::LockedOut,
-                    failures: 3
-                },
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::LockedOut,
-                    failures: 3
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn quit_mid_pipeline_stops_processing_later_requests() {
-        let server = server();
-        let requests = vec![
-            ClientMessage::GetConfig,
-            ClientMessage::Quit,
-            ClientMessage::Enroll {
-                username: "never".into(),
-                clicks: clicks(),
-            },
-        ];
-        let input = pipeline_bytes(&requests);
-        let mut output = Vec::new();
-        server
-            .serve_streams(
-                std::io::Cursor::new(input),
-                &mut output,
-                &AtomicBool::new(false),
-                &WorkerMetrics::default(),
-            )
-            .unwrap();
-        let responses = decode_responses(&output);
-        assert_eq!(responses.len(), 2);
-        assert_eq!(responses[1], ServerMessage::Goodbye);
-        assert_eq!(server.store().len(), 0, "post-quit enroll never ran");
-    }
-
-    #[test]
-    fn corrupted_mid_pipeline_frame_fails_one_request_without_desync() {
-        use crate::framing::FaultyBuffer;
-        let server = server();
-        server.handle_message(ClientMessage::Enroll {
-            username: "alice".into(),
-            clicks: clicks(),
-        });
-        // Three pipelined logins, the middle frame's payload corrupted.
-        let mut faulty = FaultyBuffer::default().corrupt_frame_payload(1);
-        {
-            let mut writer = FrameWriter::new(&mut faulty);
-            for _ in 0..3 {
-                writer
-                    .write_frame(
-                        &ClientMessage::Login {
-                            username: "alice".into(),
-                            clicks: clicks(),
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-            }
-        }
-        let mut output = Vec::new();
-        let metrics = WorkerMetrics::default();
-        server
-            .serve_streams(
-                std::io::Cursor::new(faulty.bytes),
-                &mut output,
-                &AtomicBool::new(false),
-                &metrics,
-            )
-            .unwrap();
-        let responses = decode_responses(&output);
-        assert_eq!(responses.len(), 3, "every request gets a response");
-        assert_eq!(
-            responses[0],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
-            }
-        );
-        assert!(
-            matches!(&responses[1], ServerMessage::Error { reason } if reason.contains("integrity")),
-            "corrupt frame answered with a protocol error: {:?}",
-            responses[1]
-        );
-        assert_eq!(
-            responses[2],
-            ServerMessage::LoginResult {
-                decision: LoginDecision::Accepted,
-                failures: 0
-            },
-            "the pipeline stays in sync after the corrupt frame"
-        );
-        assert_eq!(metrics.snapshot(0).protocol_errors, 1);
-        assert!(!server.lockout().is_locked("alice"));
-    }
-
-    #[test]
-    fn dropped_mid_pipeline_frame_loses_only_that_request() {
-        use crate::framing::FaultyBuffer;
-        let server = server();
-        server.handle_message(ClientMessage::Enroll {
-            username: "alice".into(),
-            clicks: clicks(),
-        });
-        let mut faulty = FaultyBuffer::default().drop_frame(1);
-        {
-            let mut writer = FrameWriter::new(&mut faulty);
-            for _ in 0..3 {
-                writer
-                    .write_frame(
-                        &ClientMessage::Login {
-                            username: "alice".into(),
-                            clicks: clicks(),
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-            }
-        }
-        let mut output = Vec::new();
-        server
-            .serve_streams(
-                std::io::Cursor::new(faulty.bytes),
-                &mut output,
-                &AtomicBool::new(false),
-                &WorkerMetrics::default(),
-            )
-            .unwrap();
-        let responses = decode_responses(&output);
-        assert_eq!(responses.len(), 2, "dropped request simply has no response");
-        for r in &responses {
-            assert_eq!(
-                *r,
-                ServerMessage::LoginResult {
-                    decision: LoginDecision::Accepted,
-                    failures: 0
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn idle_connection_is_dropped_and_frees_its_worker() {
-        use std::io::Read as _;
-        // One worker and a short idle timeout: a silent connection must be
-        // cut loose instead of starving the pool (slowloris defense).
-        let config = ServerConfig {
-            workers: 1,
-            idle_timeout: Duration::from_millis(150),
-            ..ServerConfig::fast_for_tests()
-        };
-        let handle = AuthServer::new(config).spawn().expect("spawn server");
-        let mut idle = TcpStream::connect(handle.addr()).expect("connect");
-        idle.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        // The server closes the idle connection: read returns EOF.
-        let mut buf = [0u8; 1];
-        let got = idle.read(&mut buf).expect("read after server close");
-        assert_eq!(got, 0, "idle connection must be closed by the server");
-        // And the single worker is free to serve a real client.
-        let mut client = crate::client::AuthClient::connect(handle.addr()).expect("connect");
-        let (scheme, clicks) = client.get_config().expect("get config");
-        assert_eq!(scheme, "centered:9");
-        assert_eq!(clicks, 5);
-        client.quit().unwrap();
-        handle.shutdown();
-    }
-
-    #[test]
-    fn batched_pipeline_hashes_through_the_batch_verifier() {
-        let server = server();
-        for i in 0..8 {
-            server.handle_message(ClientMessage::Enroll {
-                username: format!("user{i}"),
-                clicks: clicks(),
-            });
-        }
-        let baseline_attempts = server.verifier().stats().attempts;
-        let requests: Vec<ClientMessage> = (0..8)
-            .map(|i| ClientMessage::Login {
-                username: format!("user{i}"),
-                clicks: clicks(),
-            })
-            .collect();
-        let input = pipeline_bytes(&requests);
-        let mut output = Vec::new();
-        server
-            .serve_streams(
-                std::io::Cursor::new(input),
-                &mut output,
-                &AtomicBool::new(false),
-                &WorkerMetrics::default(),
-            )
-            .unwrap();
-        assert_eq!(decode_responses(&output).len(), 8);
-        let stats = server.verifier().stats();
-        assert_eq!(stats.attempts - baseline_attempts, 8);
-        assert!(
-            stats.max_run >= 8,
-            "one turn's logins coalesce into one run: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn login_racing_an_uncommitted_enroll_parks_while_unrelated_logins_proceed() {
-        use std::io::{Read as _, Write as _};
-        let config = ServerConfig {
-            serving: ServingMode::WorkerPool,
-            workers: 2,
-            ..ServerConfig::fast_for_tests()
-        };
-        let handle = AuthServer::new(config).spawn().expect("spawn server");
-        {
-            let mut client = crate::client::AuthClient::connect(handle.addr()).unwrap();
-            client.enroll("carol", &clicks()).unwrap();
-            client.quit().unwrap();
-        }
-        // Hold victor's account barrier open, exactly as if his
-        // enrollment's group commit were still in flight on another
-        // connection.
-        handle.server().pending().begin("victor");
-
-        let mut racing = TcpStream::connect(handle.addr()).unwrap();
-        racing
-            .set_read_timeout(Some(Duration::from_millis(400)))
-            .unwrap();
-        let mut request = Vec::new();
-        FrameWriter::new(&mut request)
-            .write_frame(
-                &ClientMessage::Login {
-                    username: "victor".into(),
-                    clicks: clicks(),
-                }
-                .encode(),
-            )
-            .unwrap();
-        racing.write_all(&request).unwrap();
-
-        // An unrelated account's login flows around the parked one.
-        let mut other = crate::client::AuthClient::connect(handle.addr()).unwrap();
-        let (decision, _) = other.login("carol", &clicks()).unwrap();
-        assert_eq!(decision, LoginDecision::Accepted);
-        other.quit().unwrap();
-
-        // The racing login is still parked: nothing on the wire.
-        let mut buf = [0u8; 1];
-        match racing.read(&mut buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            other => panic!("parked login answered before the barrier cleared: {other:?}"),
-        }
-
-        // Lift the barrier: the parked worker wakes and answers (Rejected
-        // — the account was never actually enrolled in this test).
-        handle.server().pending().end("victor");
-        racing
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let frame = FrameReader::new(&mut racing).read_frame().unwrap();
-        match ServerMessage::decode(frame).unwrap() {
-            ServerMessage::Error { reason } => {
-                assert!(reason.contains("unknown account"), "{reason}");
-            }
-            other => panic!("unexpected response: {other:?}"),
-        }
-        handle.shutdown();
     }
 }

@@ -13,6 +13,13 @@
 //!   the kernel-reported prefix;
 //! * `eventfd` reads/writes use an 8-byte integer, as the kernel requires.
 //!
+//! Three socket-buffer helpers ([`set_recv_buffer`], [`recv_buffer`],
+//! [`send_buffer`]) let tests pin and read the kernel's `SO_RCVBUF` /
+//! `SO_SNDBUF`, so a test that needs a stalled peer forces the stall
+//! whatever the host's `tcp_rmem`/`tcp_wmem` autotuning allows.  Their
+//! `setsockopt`/`getsockopt` calls pass a 4-byte `int` and its size, as
+//! the kernel requires.
+//!
 //! Interest is **level-triggered** (the epoll default): the reactor
 //! deliberately relies on "data still buffered ⇒ next wait returns the fd"
 //! to keep its per-connection state machines simple.
@@ -39,6 +46,10 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EFD_CLOEXEC: i32 = 0x80000;
 const EFD_NONBLOCK: i32 = 0x800;
+// <asm-generic/socket.h> values, shared by x86-64 and aarch64.
+const SOL_SOCKET: i32 = 1;
+const SO_SNDBUF: i32 = 7;
+const SO_RCVBUF: i32 = 8;
 
 /// The kernel's `struct epoll_event`.  Packed on x86-64 (the kernel ABI
 /// packs it there so 32-bit and 64-bit layouts agree); natural layout on
@@ -82,6 +93,8 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -201,6 +214,34 @@ impl Drop for EventFd {
     }
 }
 
+/// Pin a socket's receive buffer to `bytes` (`SO_RCVBUF`).  This also
+/// turns off the kernel's receive-buffer autotuning for the socket, and
+/// the kernel doubles the value for its bookkeeping: read the effective
+/// size back with [`recv_buffer`].
+pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    let value = i32::try_from(bytes).unwrap_or(i32::MAX);
+    cvt(unsafe { setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &value, 4) })?;
+    Ok(())
+}
+
+/// A socket's receive buffer size as the kernel reports it (`SO_RCVBUF`).
+pub fn recv_buffer(fd: RawFd) -> io::Result<usize> {
+    socket_option(fd, SO_RCVBUF)
+}
+
+/// A socket's send buffer size as the kernel reports it (`SO_SNDBUF`);
+/// for an autotuned socket, the size it has grown to so far.
+pub fn send_buffer(fd: RawFd) -> io::Result<usize> {
+    socket_option(fd, SO_SNDBUF)
+}
+
+fn socket_option(fd: RawFd, name: i32) -> io::Result<usize> {
+    let mut value: i32 = 0;
+    let mut len: u32 = 4;
+    cvt(unsafe { getsockopt(fd, SOL_SOCKET, name, &mut value, &mut len) })?;
+    Ok(usize::try_from(value).unwrap_or(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,5 +302,17 @@ mod tests {
 
         epoll.delete(server_end.as_raw_fd()).unwrap();
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "deregistered");
+    }
+
+    #[test]
+    fn socket_buffer_sizes_can_be_pinned_and_read_back() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        set_recv_buffer(client.as_raw_fd(), 64 * 1024).unwrap();
+        // The kernel doubles the request for bookkeeping overhead.
+        assert_eq!(recv_buffer(client.as_raw_fd()).unwrap(), 128 * 1024);
+        assert!(send_buffer(server_end.as_raw_fd()).unwrap() > 0);
+        assert!(recv_buffer(-1).is_err(), "a bad fd reports an error");
     }
 }

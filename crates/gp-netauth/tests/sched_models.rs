@@ -2,29 +2,30 @@
 //! kernels, driven by the gp-sched deterministic scheduler.
 //!
 //! Only compiled under `RUSTFLAGS="--cfg gp_sched"` — that flag switches
-//! `gp_sched::sync` (which `PendingAccounts`, `AckState`, and
-//! `BatchVerifier` are built against) from std primitives to the
-//! instrumented shims, so every lock, wait, and notify below is a
-//! scheduling choice point the explorer enumerates. See CONCURRENCY.md
+//! `gp_sched::sync` (which `PendingAccounts` and `AckState` are built
+//! against) from std primitives to the instrumented shims, so every lock,
+//! wait, and notify below is a scheduling choice point the explorer
+//! enumerates. See CONCURRENCY.md
 //! for the protocol inventory and README.md for how to replay a failing
 //! schedule trace.
 #![cfg(gp_sched)]
 
-use gp_crypto::{iterated_hash, SaltedHasher};
 use gp_netauth::acks::AckState;
-use gp_netauth::batch::{BatchVerifier, HashJob};
 use gp_netauth::pending::PendingAccounts;
 use gp_sched::{shim, thread, Explorer};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// PendingAccounts: a login parked on its own account's enrollment barrier
-/// must always unpark — either the barrier was already down, or the
-/// enroll-commit's `end` wakes it. Two racing enrollments of the same name
-/// exercise the refcount; the explorer proves no schedule loses the wakeup
-/// (an untimed hang would be reported as deadlock, and `wait_clear`'s
-/// timeout only fires at quiescence, i.e. if the commits could never run).
+/// PendingAccounts: a login parked on its own account's enrollment
+/// barrier must always unpark.  Nothing blocks on the table: the reactor
+/// checks `is_pending` when it prepares the login, and again when it
+/// re-drives the parked connection after applying completions — and the
+/// enroll's group commit calls `end` before it posts the completion that
+/// triggers that re-drive.  Under every interleaving of the login's checks
+/// with the commit, a check that runs after the commit is observable (here:
+/// after `committed` is set) must see the barrier down, so the re-drive
+/// never re-parks forever.
 #[test]
 fn pending_accounts_login_always_unparks() {
     let exploration = Explorer::new().explore(|| {
@@ -34,10 +35,11 @@ fn pending_accounts_login_always_unparks() {
 
         let (p2, c2) = (Arc::clone(&pending), Arc::clone(&committed));
         let login = thread::spawn(move || {
-            p2.wait_clear("alice", Duration::from_millis(5));
-            // `committed` is set only after `end` completes, and this model
+            // The prepare-time check may land on either side of the commit.
+            p2.is_pending("alice");
+            // `committed` is set only after `end` returns, and this model
             // has exactly one enrollment: once the login observes the
-            // commit, the barrier must be down.
+            // commit, its re-drive check must find the barrier down.
             if c2.load(Ordering::SeqCst) {
                 assert!(!p2.is_pending("alice"), "barrier still up after its commit");
             }
@@ -46,6 +48,7 @@ fn pending_accounts_login_always_unparks() {
         pending.end("alice");
         committed.store(true, Ordering::SeqCst);
         login.join();
+        // The re-drive that follows the commit's completion.
         assert!(!pending.is_pending("alice"));
     });
     assert!(
@@ -60,8 +63,8 @@ fn pending_accounts_login_always_unparks() {
 
 /// PendingAccounts refcounting: with two racing enrollments of one name,
 /// the barrier stays up until *both* commit (each holds a reference), and
-/// a parked login can never observe a half-released barrier as clear
-/// while the second enrollment still holds it.
+/// a login polling `is_pending` meanwhile can never make the table drop
+/// the second enrollment's reference.
 #[test]
 fn pending_accounts_refcount_requires_all_commits() {
     let exploration = Explorer::new().explore(|| {
@@ -82,7 +85,9 @@ fn pending_accounts_refcount_requires_all_commits() {
 
         let p3 = Arc::clone(&pending);
         let login = thread::spawn(move || {
-            p3.wait_clear("alice", Duration::from_millis(5));
+            // A parked login's prepare and re-drive checks.
+            p3.is_pending("alice");
+            p3.is_pending("alice");
         });
 
         pending.end("alice");
@@ -155,35 +160,4 @@ fn ack_waiter_times_out_at_quiescence() {
             "unexpected error: {err}"
         );
     });
-}
-
-/// BatchVerifier leader election: two concurrent submissions, every
-/// schedule must complete both with correct digests — whichever thread
-/// wins leadership hashes the coalesced batch, the follower's short timed
-/// wait re-checks, and nobody hangs on the `leader_active` handoff.
-#[test]
-fn batch_verifier_all_submissions_complete() {
-    let exploration = Explorer::new().max_schedules(500_000).explore(|| {
-        let verifier = Arc::new(BatchVerifier::new(2, Duration::ZERO));
-        let v2 = Arc::clone(&verifier);
-        let other = thread::spawn(move || {
-            v2.submit(vec![HashJob {
-                hasher: SaltedHasher::new(b"salt-b"),
-                pre_image: b"attempt-b".to_vec(),
-                iterations: 1,
-            }])
-        });
-        let mine = verifier.submit(vec![HashJob {
-            hasher: SaltedHasher::new(b"salt-a"),
-            pre_image: b"attempt-a".to_vec(),
-            iterations: 1,
-        }]);
-        let theirs = other.join();
-        assert_eq!(mine, vec![iterated_hash(b"salt-a", b"attempt-a", 1)]);
-        assert_eq!(theirs, vec![iterated_hash(b"salt-b", b"attempt-b", 1)]);
-    });
-    assert!(
-        exploration.schedules > 10,
-        "leader/follower handoff must branch the schedule"
-    );
 }

@@ -3,7 +3,7 @@
 //! push a pipelined login burst through the batch verifier, demonstrate
 //! the online-attack lockout, *crash* the server and recover every
 //! acknowledged account from the write-ahead logs, and print the shard /
-//! worker-pool / batching / durability statistics.
+//! serving-thread / batching / durability statistics.
 //!
 //! Run with: `cargo run --example auth_server_demo`
 

@@ -143,7 +143,7 @@ fn experiment_registry_runs_every_experiment() {
 /// The sharded, pipelined serving layer under real concurrency: enroll a
 /// population, then drive concurrent logins from ≥8 client threads against
 /// one server — correct passwords are accepted from every thread, requests
-/// spread across shards and the worker pool, and the per-account lockout
+/// spread across shards and compute workers, and the per-account lockout
 /// still triggers exactly at the threshold while an innocent account on
 /// the same server stays usable.
 #[test]
