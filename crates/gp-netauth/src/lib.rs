@@ -43,16 +43,17 @@
 //!   opt-in [`client::RetryPolicy`] absorbs transient connection deaths
 //!   during failovers under capped exponential backoff with jitter.
 //! * [`replication`] — WAL-streaming replication between nodes: each
-//!   enrollment's WAL record is streamed to the account's backup node
-//!   (chosen on a consistent-hash ring) and, in sync mode, acknowledged
-//!   to the client only after the backup's durable apply.  Failure
-//!   handling is crash-only: a peer whose stream dies twice is evicted
-//!   from the ring and replicas re-route to the next successor.  Two
-//!   back-fill paths keep replicas complete: **catch-up**
-//!   ([`replication::catch_up_from_peers`]) streams a (re)joining node a
-//!   snapshot of every record it backs, and **anti-entropy**
-//!   ([`replication::spawn_anti_entropy`]) periodically digest-compares
-//!   each primary→backup range and repairs divergence record-by-record.
+//!   group commit's WAL records are sent to each account's backup node
+//!   (chosen on a consistent-hash ring) over one blocking connection per
+//!   peer, and acknowledged to the client only after the backup's
+//!   durable apply and ack.  Failure handling is crash-only: a peer that
+//!   fails a send twice is evicted from the ring and replicas re-route
+//!   to the next successor.  Two back-fill paths keep replicas complete:
+//!   **catch-up** ([`replication::catch_up_from_peers`]) streams a
+//!   (re)joining node a snapshot of every record it backs, and
+//!   **anti-entropy** ([`replication::spawn_anti_entropy`]) periodically
+//!   digest-compares each primary→backup range and repairs divergence
+//!   record-by-record.
 //! * [`cluster`] — a loopback [`cluster::Cluster`] of replicated nodes
 //!   with crash-only fault hooks (kill / sever / restart) and the
 //!   ring-routing [`cluster::ClusterClient`], whose transport-failure
@@ -89,7 +90,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acks;
 pub mod batch;
 pub mod client;
 pub mod cluster;
@@ -115,8 +115,8 @@ pub use lockout::LockoutTracker;
 pub use protocol::{ClientMessage, LoginDecision, ServerMessage};
 pub use replication::{
     catch_up_from_peers, spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, CatchupOptions,
-    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationMode,
-    ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
+    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationSink,
+    ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
     AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, WorkerMetrics,

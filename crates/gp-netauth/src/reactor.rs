@@ -1449,8 +1449,17 @@ mod tests {
         let handle = spawn(config);
         let _a = std::net::TcpStream::connect(handle.addr()).unwrap();
         let _b = std::net::TcpStream::connect(handle.addr()).unwrap();
-        // Give the reactor a moment to register both.
-        std::thread::sleep(Duration::from_millis(100));
+        // The accept counter moves only once a connection is registered
+        // with epoll, so both are live when it reads 2.
+        let accepted = || handle.stats().workers[0].connections;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while accepted() < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "both connections never registered"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let mut refused = std::net::TcpStream::connect(handle.addr()).unwrap();
         refused
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1458,6 +1467,7 @@ mod tests {
         let mut buf = [0u8; 1];
         let got = refused.read(&mut buf).unwrap_or(0);
         assert_eq!(got, 0, "over-cap connection is closed immediately");
+        assert_eq!(accepted(), 2, "the refused connection is never registered");
         handle.shutdown();
     }
 

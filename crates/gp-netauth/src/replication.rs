@@ -7,9 +7,9 @@
 //! key's second ring successor.  The backup appends the record to *its*
 //! durable store (WAL-first, via
 //! [`gp_passwords::ShardedPasswordStore::apply_replicated`]) before
-//! acknowledging, so a synchronous-mode `EnrollOk` means the account is
-//! durable on two nodes.  Applying is insert-or-replace, which makes
-//! redelivery after a reconnect or a primary retry harmless.
+//! acknowledging, so an `EnrollOk` means the account is durable on two
+//! nodes.  Applying is insert-or-replace, which makes redelivery after a
+//! reconnect or a primary retry harmless.
 //!
 //! Wire format: the same length-prefixed, integrity-checked frames as the
 //! client protocol ([`crate::framing`]), carrying [`ReplicaMessage`]s in
@@ -29,15 +29,22 @@
 //! PullRequest    { usernames }                stream me these records (repair / rejoin pull)
 //! ```
 //!
-//! `seq` is assigned under the per-connection write lock, so records hit
-//! the stream in sequence order and acks (which the listener sends in
-//! processing order) advance a high-water mark: `acked >= seq` proves
-//! *this* record was applied.
+//! Every exchange with a peer runs over one blocking request/response
+//! connection type: the live write path, catch-up and anti-entropy alike.
+//! On the write path the sender numbers a group's records from the
+//! connection's own counter, writes them back-to-back, then reads `Ack`s
+//! inline on the same socket until `acked >= last seq`, with
+//! [`ReplicatorConfig::ack_timeout`] as the deadline.  The listener acks in
+//! processing order, so that proves the whole group was applied.  The
+//! sender holds the peer's connection lock for the whole exchange, so
+//! [`Replicator::update_peer`] and [`Replicator::drop_connections`] can
+//! wait up to `ack_timeout` behind a group in flight.
 //!
-//! Failure handling is crash-only: a send failure is retried once on a
-//! fresh connection (transient drop), after which the peer is declared
-//! dead and removed from the sender's ring — the next successor (or, with
-//! no live peer left, local-only operation) takes over.  A dead peer that
+//! Failure handling is crash-only: a failed send (a write error, a broken
+//! socket or a missed ack deadline) is retried once on a fresh connection
+//! (transient drop), after which the peer is declared dead and removed
+//! from the sender's ring — the next successor (or, with no live peer
+//! left, local-only operation) takes over.  A dead peer that
 //! restarts is re-admitted with [`Replicator::revive`].
 //!
 //! # Catch-up and anti-entropy
@@ -63,22 +70,21 @@
 //!   while it was away.  Repair counters surface in
 //!   [`ReplicationStats`].
 
-use crate::acks::AckState;
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter};
+use crate::server::SHUTDOWN_POLL;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
-use gp_passwords::{diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore};
+use gp_passwords::{
+    diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore, StoredPassword,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often blocked replication I/O loops wake to poll the shutdown flag.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 const TAG_HELLO: u8 = 0x41;
 const TAG_HELLO_OK: u8 = 0x42;
@@ -120,7 +126,8 @@ pub enum ReplicaMessage {
     },
     /// One WAL entry to apply.
     Record {
-        /// Connection-scoped sequence number (monotone per sender).
+        /// Sequence number, counted from 1 per sending connection (per
+        /// stream in a catch-up or pull reply).
         seq: u64,
         /// [`WalEntry::to_payload`] bytes — bit-identical to the bytes the
         /// primary appended to its own WAL.
@@ -421,45 +428,15 @@ impl ReplicaMessage {
     }
 }
 
-/// When an enrollment is acknowledged to the client relative to
-/// replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Wait for the backup's `Ack` before releasing `EnrollOk` — an acked
-    /// enrollment is durable on two nodes and survives a primary kill.
-    Sync,
-    /// Release `EnrollOk` after the local WAL append; the record streams
-    /// to the backup in the background.  Faster, but an enrollment acked
-    /// in the window before the backup applies it is lost if the primary
-    /// dies.
-    Async,
-}
-
-/// Something a server can hand each locally-durable enrollment to for
-/// replication before acknowledging the client.
+/// Something a server hands each group-committed batch of enrollments
+/// to before acknowledging the client.
 pub trait ReplicationSink: Send + Sync + std::fmt::Debug {
-    /// Replicate `entry`; in synchronous mode, returns only once a backup
-    /// has acknowledged durability (or no live backup exists).
-    fn replicate(&self, entry: &WalEntry) -> Result<(), NetAuthError>;
+    /// Replicate a whole group-commit batch; returns only once a backup
+    /// has acknowledged every entry as durable (or no live backup exists).
+    fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError>;
 
-    /// Replicate a whole group-commit batch.  The default serializes one
-    /// `replicate` round-trip per entry; [`Replicator`] overrides it to
-    /// pipeline each backup's records and wait on a single ack high-water
-    /// mark, so sync-mode backup acks join the group barrier instead of
-    /// queueing behind it.
-    fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError> {
-        for entry in entries {
-            self.replicate(entry)?;
-        }
-        Ok(())
-    }
-
-    /// Replication and repair counters, if this sink tracks them.  The
-    /// default (for test doubles) is `None`; [`Replicator`] returns its
-    /// live [`ReplicationStats`].
-    fn stats(&self) -> Option<ReplicationStats> {
-        None
-    }
+    /// Replication and repair counters.
+    fn stats(&self) -> ReplicationStats;
 }
 
 // ---------------------------------------------------------------------------
@@ -667,26 +644,9 @@ fn serve_replica_conn(
                 // idempotent replay makes the retry safe.
                 let ring = HashRing::with_nodes(&members);
                 let records = store.records_in_range(|key| ring.holds(key, &joiner));
-                let mut count = 0u64;
-                for record in records {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    count += 1;
-                    let message = ReplicaMessage::Record {
-                        seq: count,
-                        payload: WalEntry::Update(record).to_payload(),
-                    };
-                    if writer.write_frame_buffered(&message.encode()).is_err() {
-                        return;
-                    }
-                }
-                if writer
-                    .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
-                    .is_err()
-                {
+                let Some(count) = stream_records(&mut writer, records, shutdown) else {
                     return;
-                }
+                };
                 served.fetch_add(count, Ordering::Relaxed);
             }
             ReplicaMessage::DigestRequest {
@@ -730,32 +690,13 @@ fn serve_replica_conn(
                 }
             }
             ReplicaMessage::PullRequest { usernames } if greeted => {
-                let mut count = 0u64;
-                for name in &usernames {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // An absent account is skipped, not an error: the
-                    // requester diffed against a snapshot and the record
-                    // may have been removed since.
-                    let Some(record) = store.get(name) else {
-                        continue;
-                    };
-                    count += 1;
-                    let message = ReplicaMessage::Record {
-                        seq: count,
-                        payload: WalEntry::Update(record).to_payload(),
-                    };
-                    if writer.write_frame_buffered(&message.encode()).is_err() {
-                        return;
-                    }
-                }
-                if writer
-                    .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
-                    .is_err()
-                {
+                // An absent account is skipped, not an error: the
+                // requester diffed against a snapshot and the record may
+                // have been removed since.
+                let records = usernames.iter().filter_map(|name| store.get(name));
+                let Some(count) = stream_records(&mut writer, records, shutdown) else {
                     return;
-                }
+                };
                 served.fetch_add(count, Ordering::Relaxed);
             }
             // Hello out of order, HelloOk/Ack from a sender, or a record
@@ -765,6 +706,33 @@ fn serve_replica_conn(
     }
 }
 
+/// Stream `records` as `Record` frames numbered from 1, then
+/// `CatchupDone { count }`: the reply to a `CatchupRequest` or a
+/// `PullRequest`.  Returns the count sent, or `None` when a write failed
+/// or shutdown cut the stream (the caller drops the connection).
+fn stream_records(
+    writer: &mut FrameWriter<BufWriter<TcpStream>>,
+    records: impl IntoIterator<Item = StoredPassword>,
+    shutdown: &AtomicBool,
+) -> Option<u64> {
+    let mut count = 0u64;
+    for record in records {
+        if shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        count += 1;
+        let message = ReplicaMessage::Record {
+            seq: count,
+            payload: WalEntry::Update(record).to_payload(),
+        };
+        writer.write_frame_buffered(&message.encode()).ok()?;
+    }
+    writer
+        .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
+        .ok()?;
+    Some(count)
+}
+
 // ---------------------------------------------------------------------------
 // Replicator (primary side)
 // ---------------------------------------------------------------------------
@@ -772,9 +740,7 @@ fn serve_replica_conn(
 /// Tuning for a [`Replicator`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicatorConfig {
-    /// Sync (ack-gated) or async (fire-and-forget) replication.
-    pub mode: ReplicationMode,
-    /// How long a synchronous send waits for the backup's ack before
+    /// How long a send waits for the backup to ack its whole group before
     /// treating the attempt as failed.
     pub ack_timeout: Duration,
     /// Per-attempt TCP connect timeout.
@@ -789,28 +755,10 @@ pub struct ReplicatorConfig {
 impl Default for ReplicatorConfig {
     fn default() -> Self {
         Self {
-            mode: ReplicationMode::Sync,
             ack_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(1),
             anti_entropy_interval: Duration::from_secs(1),
         }
-    }
-}
-
-/// One live outbound connection to a peer's replication listener.
-#[derive(Debug)]
-struct PeerConn {
-    /// Kept for [`TcpStream::shutdown`] on teardown (the writer owns a
-    /// buffered clone of the same socket).
-    stream: TcpStream,
-    writer: FrameWriter<BufWriter<TcpStream>>,
-    acks: Arc<AckState>,
-}
-
-impl Drop for PeerConn {
-    fn drop(&mut self) {
-        // Wake the detached ack-reader thread so it exits promptly.
-        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -819,7 +767,9 @@ struct PeerState {
     /// Behind a lock so a restarted node's fresh ephemeral port can be
     /// installed ([`Replicator::update_peer`]) without rebuilding the map.
     addr: Mutex<SocketAddr>,
-    conn: Mutex<Option<PeerConn>>,
+    /// The write path's connection, opened on first use.  Its lock is
+    /// held across a whole send-and-ack exchange.
+    conn: Mutex<Option<SyncConn>>,
 }
 
 /// Internal atomic counters behind [`ReplicationStats`].
@@ -867,7 +817,6 @@ pub struct Replicator {
     config: ReplicatorConfig,
     ring: Mutex<HashRing>,
     peers: BTreeMap<String, PeerState>,
-    next_seq: AtomicU64,
     counters: SyncCounters,
 }
 
@@ -897,32 +846,13 @@ impl Replicator {
                     )
                 })
                 .collect(),
-            next_seq: AtomicU64::new(0),
             counters: SyncCounters::default(),
-        }
-    }
-
-    /// Snapshot of the replication and anti-entropy repair counters.
-    pub fn replication_stats(&self) -> ReplicationStats {
-        ReplicationStats {
-            records_replicated: self.counters.records_replicated.load(Ordering::Relaxed),
-            anti_entropy_rounds: self.counters.anti_entropy_rounds.load(Ordering::Relaxed),
-            ranges_checked: self.counters.ranges_checked.load(Ordering::Relaxed),
-            ranges_divergent: self.counters.ranges_divergent.load(Ordering::Relaxed),
-            records_pushed: self.counters.records_pushed.load(Ordering::Relaxed),
-            records_pulled: self.counters.records_pulled.load(Ordering::Relaxed),
-            sync_failures: self.counters.sync_failures.load(Ordering::Relaxed),
         }
     }
 
     /// This node's ID.
     pub fn node_id(&self) -> &str {
         &self.node_id
-    }
-
-    /// The configured replication mode.
-    pub fn mode(&self) -> ReplicationMode {
-        self.config.mode
     }
 
     /// Whether `node` is currently considered live.
@@ -938,7 +868,8 @@ impl Replicator {
 
     /// Point `node` at a new replication address (a restarted node binds a
     /// fresh ephemeral port) and re-admit it to the ring.  Returns whether
-    /// the node was known.
+    /// the node was known.  Waits behind a group in flight to that node
+    /// (its ack wait lasts at most `ack_timeout`).
     pub fn update_peer(&self, node: &str, addr: SocketAddr) -> bool {
         let Some(peer) = self.peers.get(node) else {
             return false;
@@ -951,132 +882,43 @@ impl Replicator {
 
     /// Drop every open outbound connection (fault-injection hook: the next
     /// send sees a cold connection, exactly as after a network blip).
+    /// Waits behind groups in flight, as [`Replicator::update_peer`] does.
     pub fn drop_connections(&self) {
         for peer in self.peers.values() {
             *peer.conn.lock() = None;
         }
     }
 
-    /// Connect to `peer` and start its detached ack-reader thread.
-    fn connect(&self, peer: &PeerState) -> Result<PeerConn, NetAuthError> {
-        let addr = *peer.addr.lock();
-        let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        read_half.set_read_timeout(Some(SHUTDOWN_POLL))?;
-        let acks = Arc::new(AckState::default());
-        let write_half = stream.try_clone()?;
-        let mut conn = PeerConn {
-            stream,
-            writer: FrameWriter::new(BufWriter::new(write_half)),
-            acks: Arc::clone(&acks),
-        };
-        let hello = ReplicaMessage::Hello {
-            node_id: self.node_id.clone(),
-        };
-        conn.writer.write_frame(&hello.encode())?;
-        // The ack reader owns the read half until the socket dies; it is
-        // detached — PeerConn::drop shuts the socket down to unpark it.
-        let _ = std::thread::Builder::new()
-            .name(format!("repl-acks-{}", self.node_id))
-            .spawn(move || {
-                let mut reader = FrameReader::new(BufReader::new(read_half));
-                loop {
-                    match reader.read_frame() {
-                        Ok(frame) => match ReplicaMessage::decode(frame) {
-                            Ok(ReplicaMessage::Ack { seq }) => acks.record(seq),
-                            Ok(ReplicaMessage::HelloOk { .. }) => {}
-                            _ => {
-                                acks.mark_broken();
-                                return;
-                            }
-                        },
-                        Err(NetAuthError::Io(e))
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) => {}
-                        Err(_) => {
-                            acks.mark_broken();
-                            return;
-                        }
-                    }
-                }
-            });
-        Ok(conn)
-    }
-
-    /// One send attempt: write the record on `peer`'s connection (opening
-    /// it if needed) and, in sync mode, wait for the ack.
-    fn send_once(&self, peer: &PeerState, payload: &[u8]) -> Result<(), NetAuthError> {
-        self.send_group_once(peer, &[payload])
-    }
-
-    /// One grouped send attempt: pipeline every payload onto `peer`'s
-    /// connection (opening it if needed) back-to-back, then — in sync mode
-    /// — wait once for the *last* record's ack.  The listener acks in
-    /// processing order, so `acked >= last seq` proves the whole group was
-    /// applied; one ack-latency covers the batch.
+    /// One grouped send attempt on `peer`'s connection (opened if
+    /// needed): write every payload, then read acks until the last one.
+    /// A failed attempt drops the connection, so a retry starts fresh.
     fn send_group_once(&self, peer: &PeerState, payloads: &[&[u8]]) -> Result<(), NetAuthError> {
-        let (last_seq, acks) = {
-            let mut guard = peer.conn.lock();
-            if guard.is_none() {
-                *guard = Some(self.connect(peer)?);
-            }
-            let Some(conn) = guard.as_mut() else {
-                return Err(NetAuthError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "replication connection missing after connect",
-                )));
-            };
-            // Seqs assigned under the write lock: stream order == seq
-            // order, so `acked >= seq` proves this record was applied.
-            let mut last_seq = 0;
-            let mut failed = None;
-            for payload in payloads {
-                // AcqRel: the issued seq orders the ack protocol (the
-                // waiter compares it against the reader thread's high-water
-                // mark), so the RMW must not be reordered around the
-                // frame write it numbers.
-                let seq = self.next_seq.fetch_add(1, Ordering::AcqRel) + 1;
-                let message = ReplicaMessage::Record {
-                    seq,
-                    payload: payload.to_vec(),
-                };
-                if let Err(e) = conn.writer.write_frame_buffered(&message.encode()) {
-                    failed = Some(e);
-                    break;
-                }
-                last_seq = seq;
-            }
-            if failed.is_none() {
-                if let Err(e) = conn.writer.flush() {
-                    failed = Some(e);
-                }
-            }
-            if let Some(e) = failed {
-                *guard = None;
-                return Err(e);
-            }
-            (last_seq, Arc::clone(&conn.acks))
+        let mut guard = peer.conn.lock();
+        let conn = match guard.as_mut() {
+            Some(conn) => conn,
+            None => guard.insert(self.open(*peer.addr.lock())?),
         };
-        let result = match self.config.mode {
-            ReplicationMode::Async => Ok(()),
-            ReplicationMode::Sync => {
-                let waited = acks.wait_for(last_seq, self.config.ack_timeout);
-                if waited.is_err() {
-                    // The connection is suspect; force a fresh one next time.
-                    *peer.conn.lock() = None;
-                }
-                waited
+        let result = conn.send_records(payloads);
+        match result {
+            Ok(()) => {
+                self.counters
+                    .records_replicated
+                    .fetch_add(payloads.len() as u64, Ordering::Relaxed);
             }
-        };
-        if result.is_ok() {
-            self.counters
-                .records_replicated
-                .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+            Err(_) => *guard = None,
         }
         result
+    }
+
+    /// Open a handshaken connection to `addr`; every read on it waits at
+    /// most [`ReplicatorConfig::ack_timeout`].
+    fn open(&self, addr: SocketAddr) -> Result<SyncConn, NetAuthError> {
+        SyncConn::open(
+            &self.node_id,
+            addr,
+            self.config.connect_timeout,
+            self.config.ack_timeout,
+        )
     }
 
     /// One anti-entropy round: for every live peer, digest-compare the
@@ -1143,13 +985,7 @@ impl Replicator {
     ) -> Result<Option<(u64, u64)>, NetAuthError> {
         let range = pair_range(ring, &self.node_id, backup);
         let local = store.range_digest(&range);
-        let addr = *self.peers[backup].addr.lock();
-        let mut conn = SyncConn::open(
-            &self.node_id,
-            addr,
-            self.config.connect_timeout,
-            self.config.ack_timeout,
-        )?;
+        let mut conn = self.open(*self.peers[backup].addr.lock())?;
         conn.send(&ReplicaMessage::DigestRequest {
             primary: self.node_id.clone(),
             backup: backup.to_string(),
@@ -1183,24 +1019,15 @@ impl Replicator {
         }
         let diff = diff_range_entries(&store.range_entries(&range), &remote_entries);
 
-        // Push this side's copies; the listener acks each durable apply in
-        // order, so waiting for the last ack covers the batch.
-        let mut pushed = 0u64;
-        for name in &diff.push {
-            let Some(record) = store.get(name) else {
-                continue;
-            };
-            pushed += 1;
-            conn.send(&ReplicaMessage::Record {
-                seq: pushed,
-                payload: WalEntry::Update(record).to_payload(),
-            })?;
-        }
-        for _ in 0..pushed {
-            match conn.recv()? {
-                ReplicaMessage::Ack { .. } => {}
-                _ => return Err(malformed("expected repair ack")),
-            }
+        // Push this side's copies, one ack wait per chunk.
+        let pushes: Vec<Vec<u8>> = diff
+            .push
+            .iter()
+            .filter_map(|name| store.get(name))
+            .map(|record| WalEntry::Update(record).to_payload())
+            .collect();
+        for chunk in pushes.chunks(SYNC_CHUNK) {
+            conn.send_records(chunk)?;
         }
 
         // Pull records written while this node was away.
@@ -1209,35 +1036,26 @@ impl Replicator {
             conn.send(&ReplicaMessage::PullRequest {
                 usernames: chunk.to_vec(),
             })?;
-            loop {
-                match conn.recv()? {
-                    ReplicaMessage::Record { payload, .. } => {
-                        let entry = WalEntry::from_payload(&payload)
-                            .map_err(|_| malformed("bad repair payload"))?;
-                        store.apply_replicated(&entry).map_err(NetAuthError::from)?;
-                        pulled += 1;
-                    }
-                    ReplicaMessage::CatchupDone { .. } => break,
-                    _ => return Err(malformed("expected pulled record")),
-                }
-            }
+            pulled += conn.apply_stream(store, None)?.0;
         }
-        Ok(Some((pushed, pulled)))
+        Ok(Some((pushes.len() as u64, pulled)))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous sync connection (catch-up + anti-entropy client side)
+// Peer connection (sender side of every exchange)
 // ---------------------------------------------------------------------------
 
-/// A dedicated blocking request/response connection to a peer's
-/// replication listener, used by catch-up and anti-entropy (the live
-/// write path keeps its own pipelined [`PeerConn`]s with a detached ack
-/// reader; sync traffic must not interleave with those acks).
+/// A blocking request/response connection to a peer's replication
+/// listener.  The live write path keeps one per peer; catch-up and
+/// anti-entropy open their own.  Every read waits at most `io_timeout`.
+#[derive(Debug)]
 struct SyncConn {
     reader: FrameReader<BufReader<TcpStream>>,
     writer: FrameWriter<BufWriter<TcpStream>>,
     io_timeout: Duration,
+    /// Seq of the last `Record` sent on this connection.
+    last_seq: u64,
 }
 
 impl SyncConn {
@@ -1251,14 +1069,15 @@ impl SyncConn {
     ) -> Result<Self, NetAuthError> {
         let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
         stream.set_nodelay(true)?;
-        // Short read timeout + deadline loop in `recv`: blocked reads stay
-        // interruptible without a dedicated reader thread.
+        // Short read timeout + deadline loop in `recv_by`: blocked reads
+        // stay interruptible without a dedicated reader thread.
         stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
         let read_half = stream.try_clone()?;
         let mut conn = Self {
             reader: FrameReader::new(BufReader::new(read_half)),
             writer: FrameWriter::new(BufWriter::new(stream)),
             io_timeout,
+            last_seq: 0,
         };
         conn.send(&ReplicaMessage::Hello {
             node_id: self_id.to_string(),
@@ -1273,10 +1092,14 @@ impl SyncConn {
         self.writer.write_frame(&message.encode())
     }
 
-    /// Read the next message, polling across read-timeout ticks until
-    /// `io_timeout` elapses.
+    /// Read the next message, waiting at most `io_timeout`.
     fn recv(&mut self) -> Result<ReplicaMessage, NetAuthError> {
-        let deadline = Instant::now() + self.io_timeout;
+        self.recv_by(Instant::now() + self.io_timeout)
+    }
+
+    /// Read the next message, polling across read-timeout ticks until
+    /// `deadline`.
+    fn recv_by(&mut self, deadline: Instant) -> Result<ReplicaMessage, NetAuthError> {
         loop {
             match self.reader.read_frame() {
                 Ok(frame) => return ReplicaMessage::decode(frame),
@@ -1289,11 +1112,71 @@ impl SyncConn {
                     if Instant::now() >= deadline {
                         return Err(NetAuthError::Io(std::io::Error::new(
                             std::io::ErrorKind::TimedOut,
-                            "timed out waiting for sync reply",
+                            "timed out waiting for a replication reply",
                         )));
                     }
                 }
                 Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Send `payloads` as one pipelined group of `Record`s, then read acks
+    /// until the last record's: the listener applies durably and acks in
+    /// order, so that ack covers the group.  The whole wait shares one
+    /// `io_timeout` deadline; a partial ack never satisfies it, and a
+    /// broken socket fails the read at once.
+    fn send_records(&mut self, payloads: &[impl AsRef<[u8]>]) -> Result<(), NetAuthError> {
+        for payload in payloads {
+            self.last_seq += 1;
+            let message = ReplicaMessage::Record {
+                seq: self.last_seq,
+                payload: payload.as_ref().to_vec(),
+            };
+            self.writer.write_frame_buffered(&message.encode())?;
+        }
+        self.writer.flush()?;
+        let deadline = Instant::now() + self.io_timeout;
+        loop {
+            match self.recv_by(deadline)? {
+                ReplicaMessage::Ack { seq } if seq >= self.last_seq => return Ok(()),
+                ReplicaMessage::Ack { .. } => {}
+                _ => return Err(malformed("expected replication ack")),
+            }
+        }
+    }
+
+    /// Apply every streamed `Record` durably until `CatchupDone`, whose
+    /// count must match.  Returns the records applied and whether the
+    /// stream ran to its end: with `abort_after` set (a fault hook) it
+    /// stops early, incomplete, once that many were applied.
+    fn apply_stream(
+        &mut self,
+        store: &ShardedPasswordStore,
+        abort_after: Option<u64>,
+    ) -> Result<(u64, bool), NetAuthError> {
+        let mut applied = 0u64;
+        loop {
+            match self.recv()? {
+                ReplicaMessage::Record { payload, .. } => {
+                    let entry = WalEntry::from_payload(&payload)
+                        .map_err(|_| malformed("bad streamed record payload"))?;
+                    // Durable, idempotent apply: a crash (or the abort
+                    // hook) right after leaves a prefix that replays
+                    // harmlessly.
+                    store.apply_replicated(&entry).map_err(NetAuthError::from)?;
+                    applied += 1;
+                    if abort_after.is_some_and(|cap| applied >= cap) {
+                        return Ok((applied, false));
+                    }
+                }
+                ReplicaMessage::CatchupDone { count } if count == applied => {
+                    return Ok((applied, true));
+                }
+                ReplicaMessage::CatchupDone { .. } => {
+                    return Err(malformed("record stream count mismatch"));
+                }
+                _ => return Err(malformed("unexpected frame in record stream")),
             }
         }
     }
@@ -1374,40 +1257,12 @@ fn catch_up_from_peer(
         node_id: node_id.to_string(),
         members: members.to_vec(),
     })?;
-    let mut applied = 0u64;
-    loop {
-        match conn.recv()? {
-            ReplicaMessage::Record { payload, .. } => {
-                let entry = WalEntry::from_payload(&payload)
-                    .map_err(|_| malformed("bad catch-up payload"))?;
-                // Durable, idempotent apply: a crash (or the abort hook)
-                // right after leaves a prefix that replays harmlessly.
-                store.apply_replicated(&entry).map_err(NetAuthError::from)?;
-                applied += 1;
-                if options
-                    .abort_after_records
-                    .is_some_and(|cap| applied >= cap)
-                {
-                    return Ok(PeerCatchup {
-                        node_id: peer_id.to_string(),
-                        records: applied,
-                        completed: false,
-                    });
-                }
-            }
-            ReplicaMessage::CatchupDone { count } => {
-                if count != applied {
-                    return Err(malformed("catch-up stream count mismatch"));
-                }
-                return Ok(PeerCatchup {
-                    node_id: peer_id.to_string(),
-                    records: applied,
-                    completed: true,
-                });
-            }
-            _ => return Err(malformed("unexpected frame in catch-up stream")),
-        }
-    }
+    let (records, completed) = conn.apply_stream(store, options.abort_after_records)?;
+    Ok(PeerCatchup {
+        node_id: peer_id.to_string(),
+        records,
+        completed,
+    })
 }
 
 /// Catch a (re)joining node up from its live peers.
@@ -1536,59 +1391,14 @@ pub fn spawn_anti_entropy(
 }
 
 impl ReplicationSink for Replicator {
-    /// Stream `entry` to its backup, walking the successor list on
-    /// failure.  With no live peer left the entry is accepted locally
-    /// (single-survivor operation) — the alternative is refusing all
-    /// writes, which the crash-only design rejects.
-    fn replicate(&self, entry: &WalEntry) -> Result<(), NetAuthError> {
-        let payload = entry.to_payload();
-        let key = entry.username();
-        loop {
-            let target = {
-                let ring = self.ring.lock();
-                let n = ring.node_count();
-                ring.successors(key, n)
-                    .into_iter()
-                    .find(|node| *node != self.node_id)
-                    .map(String::from)
-            };
-            let Some(target) = target else {
-                return Ok(());
-            };
-            let Some(peer) = self.peers.get(&target) else {
-                // A ring member without a peer entry can only come from a
-                // stale ring view; evict it and re-route to the next
-                // successor rather than bringing the commit path down.
-                self.ring.lock().leave(&target);
-                continue;
-            };
-            if self.send_once(peer, &payload).is_ok() {
-                return Ok(());
-            }
-            // Retry once on a fresh connection: a listener restart or a
-            // dropped socket looks identical to a dead peer on the first
-            // failed write.
-            *peer.conn.lock() = None;
-            if self.send_once(peer, &payload).is_ok() {
-                return Ok(());
-            }
-            // Two straight failures: declare the peer dead and let the
-            // ring promote the next successor for all its keys.
-            self.ring.lock().leave(&target);
-        }
-    }
-
-    /// Group-commit path: route every entry to its backup, pipeline each
-    /// backup's records on one connection, and (in sync mode) wait for one
-    /// ack high-water mark per backup instead of one round-trip per entry.
-    /// Failure handling matches [`Replicator::replicate`]: a target that
-    /// fails a grouped send twice is evicted, and its entries are re-routed
-    /// to the next successor on the following pass (or accepted locally
-    /// once no live peer remains).
+    /// Route every entry to its backup (the first ring successor that is
+    /// not this node) and send each backup its entries as one group.  A
+    /// target that fails a grouped send twice is evicted, and its entries
+    /// are re-routed to the next successor on the following pass.  With no
+    /// live peer left an entry is accepted locally (single-survivor
+    /// operation) — the alternative is refusing all writes, which the
+    /// crash-only design rejects.
     fn replicate_group(&self, entries: &[WalEntry]) -> Result<(), NetAuthError> {
-        if entries.len() == 1 {
-            return self.replicate(&entries[0]);
-        }
         let payloads: Vec<Vec<u8>> = entries.iter().map(WalEntry::to_payload).collect();
         let mut pending: Vec<usize> = (0..entries.len()).collect();
         while !pending.is_empty() {
@@ -1607,31 +1417,29 @@ impl ReplicationSink for Replicator {
                     if let Some(target) = target {
                         groups.entry(target).or_default().push(i);
                     }
-                    // No live peer: accepted locally (single-survivor
-                    // operation), nothing to send.
                 }
-            }
-            if groups.is_empty() {
-                return Ok(());
             }
             let mut still_pending = Vec::new();
             for (target, indices) in groups {
                 let Some(peer) = self.peers.get(&target) else {
-                    // Same stale-ring defense as `replicate`: evict and
-                    // re-route these entries on the next pass.
+                    // A ring member without a peer entry can only come from
+                    // a stale ring view; evict it and re-route these
+                    // entries rather than bringing the commit path down.
                     self.ring.lock().leave(&target);
                     still_pending.extend(indices);
                     continue;
                 };
                 let batch: Vec<&[u8]> = indices.iter().map(|&i| payloads[i].as_slice()).collect();
-                if self.send_group_once(peer, &batch).is_ok() {
+                // Retry once on a fresh connection: a listener restart or a
+                // dropped socket looks identical to a dead peer on the
+                // first failed attempt.
+                if self.send_group_once(peer, &batch).is_ok()
+                    || self.send_group_once(peer, &batch).is_ok()
+                {
                     continue;
                 }
-                // Retry once on a fresh connection, as in `replicate`.
-                *peer.conn.lock() = None;
-                if self.send_group_once(peer, &batch).is_ok() {
-                    continue;
-                }
+                // Two straight failures: declare the peer dead and let the
+                // ring promote the next successor for all its keys.
                 self.ring.lock().leave(&target);
                 still_pending.extend(indices);
             }
@@ -1640,8 +1448,17 @@ impl ReplicationSink for Replicator {
         Ok(())
     }
 
-    fn stats(&self) -> Option<ReplicationStats> {
-        Some(self.replication_stats())
+    fn stats(&self) -> ReplicationStats {
+        let c = &self.counters;
+        ReplicationStats {
+            records_replicated: c.records_replicated.load(Ordering::Relaxed),
+            anti_entropy_rounds: c.anti_entropy_rounds.load(Ordering::Relaxed),
+            ranges_checked: c.ranges_checked.load(Ordering::Relaxed),
+            ranges_divergent: c.ranges_divergent.load(Ordering::Relaxed),
+            records_pushed: c.records_pushed.load(Ordering::Relaxed),
+            records_pulled: c.records_pulled.load(Ordering::Relaxed),
+            sync_failures: c.sync_failures.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -1774,12 +1591,16 @@ mod tests {
         let replicator = Replicator::new("primary", peers, ReplicatorConfig::default());
         for i in 0..8u32 {
             let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+            replicator
+                .replicate_group(&[WalEntry::Enroll(record)])
+                .unwrap();
         }
         assert_eq!(listener.applied(), 8);
         // Redelivery is harmless (insert-or-replace).
         let record = sys.enroll("user0", &clicks(0)).unwrap();
-        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        replicator
+            .replicate_group(&[WalEntry::Enroll(record)])
+            .unwrap();
         assert_eq!(store.len(), 8);
 
         listener.shutdown();
@@ -1810,7 +1631,9 @@ mod tests {
         let replicator = Replicator::new("primary", peers, ReplicatorConfig::default());
         assert!(replicator.is_live("backup"));
         let record = sys.enroll("alice", &clicks(1)).unwrap();
-        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        replicator
+            .replicate_group(&[WalEntry::Enroll(record)])
+            .unwrap();
         assert!(!replicator.is_live("backup"), "two failures evict the peer");
         // Revive readmits it (and the next send would reconnect).
         assert!(replicator.revive("backup"));
@@ -1819,7 +1642,7 @@ mod tests {
     }
 
     /// Dropping the outbound connection mid-stream is transparent: the
-    /// next replicate() reconnects and the record still lands.
+    /// next send reconnects and the record still lands.
     #[test]
     fn connection_drop_is_retried_transparently() {
         let sys = system();
@@ -1829,13 +1652,147 @@ mod tests {
         let replicator = Replicator::new("primary", peers, ReplicatorConfig::default());
 
         let record = sys.enroll("alice", &clicks(1)).unwrap();
-        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        replicator
+            .replicate_group(&[WalEntry::Enroll(record)])
+            .unwrap();
         replicator.drop_connections();
         let record = sys.enroll("bob", &clicks(2)).unwrap();
-        replicator.replicate(&WalEntry::Enroll(record)).unwrap();
+        replicator
+            .replicate_group(&[WalEntry::Enroll(record)])
+            .unwrap();
         assert!(replicator.is_live("backup"), "a drop is not a death");
         assert_eq!(store.len(), 2);
         listener.shutdown();
+    }
+
+    /// What [`partial_ack_backup`] does after acking a group's first
+    /// record.
+    #[derive(Clone, Copy)]
+    enum AfterPartialAck {
+        /// Keep the socket open and send nothing more.
+        Stall,
+        /// Close the socket.
+        Close,
+    }
+
+    /// A fake backup: on every connection it completes the `Hello` /
+    /// `HelloOk` handshake, reads a 3-record group, acks only the first
+    /// record, then stalls or closes.  It serves connections until
+    /// `release` fires (stalled sockets stay open until then) and its
+    /// thread returns how many it served.
+    fn partial_ack_backup(
+        after: AfterPartialAck,
+    ) -> (
+        SocketAddr,
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<usize>,
+    ) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let join = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            let mut served = 0;
+            while let Err(std::sync::mpsc::TryRecvError::Empty) = released.try_recv() {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    }
+                    Err(e) => panic!("accept failed: {e}"),
+                };
+                served += 1;
+                stream.set_nonblocking(false).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut reader = FrameReader::new(BufReader::new(stream.try_clone().unwrap()));
+                let mut writer = FrameWriter::new(BufWriter::new(stream.try_clone().unwrap()));
+                let mut next = || ReplicaMessage::decode(reader.read_frame().unwrap()).unwrap();
+                assert!(matches!(next(), ReplicaMessage::Hello { .. }));
+                let hello_ok = ReplicaMessage::HelloOk {
+                    node_id: "backup".into(),
+                };
+                writer.write_frame(&hello_ok.encode()).unwrap();
+                let seqs: Vec<u64> = (0..3)
+                    .map(|_| match next() {
+                        ReplicaMessage::Record { seq, .. } => seq,
+                        other => panic!("expected a record, got {other:?}"),
+                    })
+                    .collect();
+                let ack = ReplicaMessage::Ack { seq: seqs[0] };
+                writer.write_frame(&ack.encode()).unwrap();
+                match after {
+                    AfterPartialAck::Stall => held.push(stream),
+                    AfterPartialAck::Close => stream.shutdown(std::net::Shutdown::Both).unwrap(),
+                }
+            }
+            served
+        });
+        (addr, release, join)
+    }
+
+    /// Three enrollments, all routed to the only peer.
+    fn three_entries() -> Vec<WalEntry> {
+        let sys = system();
+        (0..3u32)
+            .map(|i| WalEntry::Enroll(sys.enroll(&format!("user{i}"), &clicks(i)).unwrap()))
+            .collect()
+    }
+
+    /// An ack for the first record of a group never releases the barrier
+    /// while the peer stalls with the socket open: each of the two
+    /// attempts waits out the whole ack timeout, the peer is evicted after
+    /// the retry, and the group is not counted as replicated.
+    #[test]
+    fn partial_ack_from_a_stalled_peer_waits_out_the_timeout_then_evicts() {
+        let ack_timeout = Duration::from_millis(300);
+        let (addr, release, join) = partial_ack_backup(AfterPartialAck::Stall);
+        let peers = BTreeMap::from([("backup".to_string(), addr)]);
+        let config = ReplicatorConfig {
+            ack_timeout,
+            ..ReplicatorConfig::default()
+        };
+        let replicator = Replicator::new("primary", peers, config);
+
+        let started = Instant::now();
+        replicator.replicate_group(&three_entries()).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= 2 * ack_timeout,
+            "returned after {elapsed:?}, before both attempts timed out"
+        );
+        assert!(!replicator.is_live("backup"), "evicted after the retry");
+        assert_eq!(replicator.stats().records_replicated, 0);
+        let _ = release.send(());
+        assert_eq!(join.join().unwrap(), 2, "one attempt, then one retry");
+    }
+
+    /// A peer that acks the first record and then closes the socket errors
+    /// the waiter at once instead of leaving it to the (long) ack timeout.
+    #[test]
+    fn partial_ack_then_close_fails_fast_and_evicts() {
+        let (addr, release, join) = partial_ack_backup(AfterPartialAck::Close);
+        let peers = BTreeMap::from([("backup".to_string(), addr)]);
+        let config = ReplicatorConfig {
+            ack_timeout: Duration::from_secs(30),
+            ..ReplicatorConfig::default()
+        };
+        let replicator = Replicator::new("primary", peers, config);
+
+        let started = Instant::now();
+        replicator.replicate_group(&three_entries()).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "a closed socket must fail the wait, took {elapsed:?}"
+        );
+        assert!(!replicator.is_live("backup"), "evicted after the retry");
+        assert_eq!(replicator.stats().records_replicated, 0);
+        let _ = release.send(());
+        assert_eq!(join.join().unwrap(), 2, "one attempt, then one retry");
     }
 
     /// Catch-up streams exactly the records the joiner backs under the
@@ -1993,7 +1950,7 @@ mod tests {
         // A second round finds nothing to do.
         let quiet = replicator.anti_entropy_round(&primary_store);
         assert_eq!(quiet.ranges_divergent, 0);
-        let stats = replicator.replication_stats();
+        let stats = replicator.stats();
         assert_eq!(stats.anti_entropy_rounds, 2);
         assert_eq!(stats.ranges_checked, 2);
         assert_eq!(stats.ranges_divergent, 1);
@@ -2018,7 +1975,7 @@ mod tests {
             replicator.is_live("backup"),
             "anti-entropy must never evict"
         );
-        assert_eq!(replicator.replication_stats().sync_failures, 1);
+        assert_eq!(replicator.stats().sync_failures, 1);
     }
 
     /// The background thread runs rounds on its own and stops cleanly.
@@ -2039,15 +1996,15 @@ mod tests {
             Duration::from_millis(20),
         );
         let deadline = Instant::now() + Duration::from_secs(5);
-        while replicator.replication_stats().anti_entropy_rounds < 2 {
+        while replicator.stats().anti_entropy_rounds < 2 {
             assert!(Instant::now() < deadline, "rounds never ran");
             std::thread::sleep(Duration::from_millis(10));
         }
         handle.shutdown();
-        let after = replicator.replication_stats().anti_entropy_rounds;
+        let after = replicator.stats().anti_entropy_rounds;
         std::thread::sleep(Duration::from_millis(80));
         assert_eq!(
-            replicator.replication_stats().anti_entropy_rounds,
+            replicator.stats().anti_entropy_rounds,
             after,
             "no rounds after shutdown"
         );

@@ -227,8 +227,8 @@ pub struct ServerStats {
     pub shards: Vec<ShardStats>,
     /// Batch-verifier coalescing counters.
     pub batch: BatchStats,
-    /// Replication and anti-entropy repair counters, when a sink that
-    /// tracks them (a [`crate::replication::Replicator`]) is attached.
+    /// Replication and anti-entropy repair counters, when a replication
+    /// sink is attached.
     pub replication: Option<crate::replication::ReplicationStats>,
 }
 
@@ -348,9 +348,9 @@ impl AuthServer {
     }
 
     /// Attach a replication sink: from now on an enrollment is only
-    /// acknowledged after `sink.replicate(..)` returns (which, for a
-    /// synchronous [`crate::replication::Replicator`], means the record
-    /// is durable on the account's backup node too).
+    /// acknowledged after `sink.replicate_group(..)` returns for its group
+    /// commit (which, for a [`crate::replication::Replicator`], means the
+    /// record is durable on the account's backup node too).
     pub fn with_replication(mut self, sink: Arc<dyn ReplicationSink>) -> Self {
         self.replication = Some(sink);
         self
@@ -678,8 +678,8 @@ impl AuthServer {
                 .iter()
                 .flat_map(|turn| turn.enrolls.iter().map(|enroll| enroll.shard)),
         );
-        // Sync-mode backup acks join the same barrier: all of the batch's
-        // entries stream out pipelined and one ack-wait covers them,
+        // Backup acks join the same barrier: all of the batch's entries
+        // go out pipelined and one ack-wait per backup covers them,
         // instead of a send/wait round-trip per enrollment.
         let replicated = match (&committed, &self.replication) {
             (Ok(()), Some(sink)) => {
@@ -755,7 +755,7 @@ impl AuthServer {
             workers,
             shards: self.store.stats(),
             batch: self.verifier.stats(),
-            replication: self.replication.as_ref().and_then(|sink| sink.stats()),
+            replication: self.replication.as_ref().map(|sink| sink.stats()),
         }
     }
 
