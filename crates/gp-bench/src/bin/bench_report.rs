@@ -137,25 +137,39 @@ fn main() {
     }
     lane_bench!(2, 4, 8, 16);
 
-    // Per-entry-salt batches through the public dispatcher, in the
-    // server's two-block round shape (a 40-byte salt), at a lightly loaded
-    // node's batch of 1, a partial batch of 4 and a full batch of 16.
-    // These rows time whichever kernel this CPU selects.
-    eprintln!(
-        "[bench_report] iterated-hash kernel: {}",
-        gp_crypto::active_kernel()
-    );
-    let server_hasher = SaltedHasher::new(&[0x42u8; 40]);
-    for n in [1usize, 4, 16] {
-        let hashers = vec![&server_hasher; n];
-        let per_msg = report.measure(&format!("h1000/many_salted_{n}_batch_40B_salt"), || {
-            iterated_hash_many_salted_into(&hashers, &refs[..n], 1000, &mut out);
-            std::hint::black_box(&out);
-        }) / n as f64;
-        report
-            .results
-            .push((format!("h1000/many_salted_{n}_per_msg_40B_salt"), per_msg));
+    // Per-entry-salt batches through the public dispatcher, at a lightly
+    // loaded node's batch of 1, a partial batch of 4 and a full batch of
+    // 16, in two two-block round layouts.  26 B is the server's salt
+    // (`gp-passwords/v1\x1f` + a 10-byte username): its digest lies wholly
+    // in the round's first block.  40 B straddles the digest across the
+    // block boundary; no serving account has it.  These rows time
+    // whichever kernel this CPU selects.
+    let kernel = gp_crypto::active_kernel();
+    eprintln!("[bench_report] iterated-hash kernel: {kernel}");
+    let mut single_26b = f64::INFINITY;
+    for salt_len in [26usize, 40] {
+        let server_hasher = SaltedHasher::new(&vec![0x42u8; salt_len]);
+        for n in [1usize, 4, 16] {
+            let hashers = vec![&server_hasher; n];
+            let batch = format!("h1000/many_salted_{n}_batch_{salt_len}B_salt");
+            let per_msg = report.measure(&batch, || {
+                iterated_hash_many_salted_into(&hashers, &refs[..n], 1000, &mut out);
+                std::hint::black_box(&out);
+            }) / n as f64;
+            if (salt_len, n) == (26, 1) {
+                single_26b = per_msg;
+            }
+            report.results.push((
+                format!("h1000/many_salted_{n}_per_msg_{salt_len}B_salt"),
+                per_msg,
+            ));
+        }
     }
+    // The portable scalar chain (the reference row) runs several times
+    // slower than one SHA-NI chain, so noise cannot trip this; a kernel
+    // that lost its SHA-NI speed (such as a legacy-SSE/AVX transition
+    // stall, ~100x) does.
+    let sha_ni_too_slow = kernel == "sha_ni" && single_26b >= reference / 2.0;
 
     // --- Full 5-click verify: fresh allocations vs scratch reuse. ---
     let clicks: Vec<Point> = vec![
@@ -243,5 +257,13 @@ fn main() {
     eprintln!("[bench_report] wrote {}", path.display());
     for (name, x) in &speedups {
         eprintln!("[bench_report] speedup {name:<28} {x:>6.2}x");
+    }
+    if sha_ni_too_slow {
+        eprintln!(
+            "[bench_report] FAIL: SHA-NI h1000/many_salted_1_per_msg_26B_salt \
+             {single_26b:.0} ns is not below half of h1000/reference_21B_salt \
+             {reference:.0} ns"
+        );
+        std::process::exit(1);
     }
 }

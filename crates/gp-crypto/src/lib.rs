@@ -20,9 +20,10 @@
 //!   ([`iterated_hash_many`], [`iterated_hash_many_salted`]) that advance
 //!   independent chains through one interleaved kernel, and a convenience
 //!   [`PasswordHasher`] combining salt, personalization and iteration count.
-//! * [`sha_ni`] — the SHA-256 compression on the x86 SHA extensions for 1–4
-//!   interleaved streams, reachable only through a runtime-detected
-//!   [`ShaNi`] token; the crate's only `unsafe` code.
+//! * [`sha_ni`] — the iterated hash's round loop on the x86 SHA extensions
+//!   for 1–4 interleaved chains, each chain's state kept in registers for
+//!   every round, reachable only through a runtime-detected [`ShaNi`]
+//!   token; the crate's only `unsafe` code.
 //! * [`hex`] — lower-case hexadecimal encoding/decoding for serialized
 //!   password files.
 //! * [`ct`] — constant-time equality for hash comparison during login.
@@ -32,9 +33,10 @@
 //! Each iterated-hash call picks its compression kernel once, before its
 //! rounds loop, by run-time detection alone ([`active_kernel`] names it):
 //!
-//! * **SHA-NI** when the CPU has it: one stream for
-//!   [`SaltedHasher::iterated`]; four streams per call with a 1–3-stream
-//!   tail for the batched paths, so a short batch pays for no idle lanes.
+//! * **SHA-NI** when the CPU has it: one fused call runs every round of
+//!   one chain for [`SaltedHasher::iterated`], and of four chains per call
+//!   with a 1–3-chain tail for the batched paths, so a short batch pays
+//!   for no idle lanes.
 //! * **Portable** otherwise: the scalar chain for single hashes, and the
 //!   auto-vectorized [`LANES`]-lane kernel (short tails padded or scalar)
 //!   for batches.

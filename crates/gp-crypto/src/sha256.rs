@@ -42,7 +42,8 @@ pub(crate) const ONE_BLOCK_MAX: usize = BLOCK_LEN - 9;
 /// The SHA-256 compression function: absorb one 64-byte block into `state`.
 ///
 /// The portable kernel, and the specification the accelerated kernels
-/// (such as [`crate::sha_ni::ShaNi::compress`]) are tested against.
+/// (such as the fused SHA-NI loop [`crate::sha_ni::ShaNi::iterate`]) are
+/// tested against.
 pub fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     // Message schedule.
     let mut w = [0u32; 64];

@@ -26,23 +26,45 @@ fn sha_ni() -> Option<ShaNi> {
     ni
 }
 
-/// `N` streams from the front of `states`/`blocks` through the SHA-NI
-/// kernel, each checked against the portable compression.
+/// `N` chains from the front of `states`/`buffers` through the fused
+/// SHA-NI loop, checked against the same rounds on the portable
+/// compression: each round compresses the chain's first `blocks` blocks
+/// from its midstate and writes the big-endian digest at its offset.
 fn sha_ni_matches_portable<const N: usize>(
     ni: ShaNi,
     states: &[u32],
-    blocks: &[u8],
+    buffers: &[u8],
+    offsets: &[usize],
+    blocks: usize,
+    rounds: u32,
 ) -> Result<(), TestCaseError> {
-    let mut lanes: [[u32; 8]; N] =
+    let midstates: [[u32; 8]; N] =
         core::array::from_fn(|s| states[8 * s..8 * s + 8].try_into().unwrap());
-    let block_refs: [&[u8; 64]; N] =
-        core::array::from_fn(|s| blocks[64 * s..64 * s + 64].try_into().unwrap());
-    let mut expected = lanes;
-    for (state, block) in expected.iter_mut().zip(block_refs) {
-        compress(state, block);
+    let mut fused: [[u8; 128]; N] =
+        core::array::from_fn(|s| buffers[128 * s..128 * s + 128].try_into().unwrap());
+    // Every slot within the round's blocks.
+    let offsets: [usize; N] = core::array::from_fn(|s| offsets[s] % (64 * blocks - 31));
+    let mut expected = fused;
+    for _ in 0..rounds {
+        for ((buffer, state), &offset) in expected.iter_mut().zip(midstates).zip(&offsets) {
+            let mut state = state;
+            for block in buffer[..64 * blocks].chunks_exact(64) {
+                compress(&mut state, block.try_into().unwrap());
+            }
+            for (i, word) in state.iter().enumerate() {
+                buffer[offset + 4 * i..offset + 4 * i + 4].copy_from_slice(&word.to_be_bytes());
+            }
+        }
     }
-    ni.compress(&mut lanes, block_refs);
-    prop_assert_eq!(lanes, expected, "{} streams", N);
+    ni.iterate(&midstates, &mut fused, &offsets, blocks, rounds);
+    prop_assert_eq!(
+        fused,
+        expected,
+        "{} chains, {} blocks, offsets {:?}",
+        N,
+        blocks,
+        offsets
+    );
     Ok(())
 }
 
@@ -71,18 +93,51 @@ fn fixed_h3000_vector_on_every_path() {
 }
 
 proptest! {
-    /// The SHA-NI kernel for every stream count is bit-identical to the
-    /// portable compression on arbitrary states and blocks.
+    /// The fused SHA-NI loop for every chain count is bit-identical to the
+    /// portable compression on arbitrary midstates and buffers, over one-
+    /// and two-block rounds with the digest slots anywhere they fit: all in
+    /// block 0 of a two-block round (the fixed-tail layout), straddling the
+    /// boundary, or mixed.
     #[test]
-    fn sha_ni_compress_equals_portable(
+    fn sha_ni_iterate_equals_portable(
         states in proptest::collection::vec(any::<u32>(), 32),
-        blocks in proptest::collection::vec(any::<u8>(), 256),
+        buffers in proptest::collection::vec(any::<u8>(), 512),
+        offsets in proptest::collection::vec(0usize..97, 4),
+        blocks in 1usize..3,
+        rounds in 0u32..4,
     ) {
         if let Some(ni) = sha_ni() {
-            sha_ni_matches_portable::<1>(ni, &states, &blocks)?;
-            sha_ni_matches_portable::<2>(ni, &states, &blocks)?;
-            sha_ni_matches_portable::<3>(ni, &states, &blocks)?;
-            sha_ni_matches_portable::<4>(ni, &states, &blocks)?;
+            sha_ni_matches_portable::<1>(ni, &states, &buffers, &offsets, blocks, rounds)?;
+            sha_ni_matches_portable::<2>(ni, &states, &buffers, &offsets, blocks, rounds)?;
+            sha_ni_matches_portable::<3>(ni, &states, &buffers, &offsets, blocks, rounds)?;
+            sha_ni_matches_portable::<4>(ni, &states, &buffers, &offsets, blocks, rounds)?;
+        }
+    }
+
+    /// Every SHA-NI entry point (one chain, and batches of 1–19 entries
+    /// with per-entry salts) is bit-identical to the reference for salts
+    /// of 0–199 bytes, which covers every round layout: one block, two
+    /// blocks with the digest in block 0, and a digest straddling the
+    /// boundary, with and without full midstate blocks.
+    #[test]
+    fn sha_ni_paths_equal_reference(
+        entries in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..200),
+             proptest::collection::vec(any::<u8>(), 0..80)),
+            1..20),
+        iterations in 1u32..40,
+    ) {
+        sha_ni();
+        let hashers: Vec<SaltedHasher> = entries.iter().map(|(salt, _)| SaltedHasher::new(salt)).collect();
+        let hasher_refs: Vec<&SaltedHasher> = hashers.iter().collect();
+        let messages: Vec<&[u8]> = entries.iter().map(|(_, m)| m.as_slice()).collect();
+        let expected: Vec<_> = entries
+            .iter()
+            .map(|(salt, m)| iterated_hash_reference(salt, m, iterations))
+            .collect();
+        prop_assert_eq!(iterated_hash_many_salted(&hasher_refs, &messages, iterations), expected.clone());
+        for ((hasher, m), digest) in hashers.iter().zip(&messages).zip(&expected) {
+            prop_assert_eq!(hasher.iterated(m, iterations), *digest);
         }
     }
 

@@ -40,7 +40,8 @@
 //! [`Replicator::update_peer`] and [`Replicator::drop_connections`] can
 //! wait up to `ack_timeout` behind a group in flight.
 //!
-//! Failure handling is crash-only: a failed send (a write error, a broken
+//! Failure handling is crash-only: a failed send (a write error, a write
+//! blocked past `ack_timeout` by a peer that stopped reading, a broken
 //! socket or a missed ack deadline) is retried once on a fresh connection
 //! (transient drop), after which the peer is declared dead and removed
 //! from the sender's ring — the next successor (or, with no live peer
@@ -741,7 +742,8 @@ fn stream_records(
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicatorConfig {
     /// How long a send waits for the backup to ack its whole group before
-    /// treating the attempt as failed.
+    /// treating the attempt as failed; also how long one blocked write
+    /// may wait for a backup that stopped reading.
     pub ack_timeout: Duration,
     /// Per-attempt TCP connect timeout.
     pub connect_timeout: Duration,
@@ -910,8 +912,8 @@ impl Replicator {
         result
     }
 
-    /// Open a handshaken connection to `addr`; every read on it waits at
-    /// most [`ReplicatorConfig::ack_timeout`].
+    /// Open a handshaken connection to `addr`; every read or blocked
+    /// write on it waits at most [`ReplicatorConfig::ack_timeout`].
     fn open(&self, addr: SocketAddr) -> Result<SyncConn, NetAuthError> {
         SyncConn::open(
             &self.node_id,
@@ -1048,7 +1050,8 @@ impl Replicator {
 
 /// A blocking request/response connection to a peer's replication
 /// listener.  The live write path keeps one per peer; catch-up and
-/// anti-entropy open their own.  Every read waits at most `io_timeout`.
+/// anti-entropy open their own.  Every read waits at most `io_timeout`,
+/// and so does every blocked write.
 #[derive(Debug)]
 struct SyncConn {
     reader: FrameReader<BufReader<TcpStream>>,
@@ -1072,6 +1075,10 @@ impl SyncConn {
         // Short read timeout + deadline loop in `recv_by`: blocked reads
         // stay interruptible without a dedicated reader thread.
         stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
+        // A peer that stops reading fills the socket buffers; a write
+        // blocked for `io_timeout` then fails the exchange instead of
+        // holding the caller (and the peer's connection lock) forever.
+        stream.set_write_timeout(Some(io_timeout))?;
         let read_half = stream.try_clone()?;
         let mut conn = Self {
             reader: FrameReader::new(BufReader::new(read_half)),
@@ -1788,6 +1795,127 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(10),
             "a closed socket must fail the wait, took {elapsed:?}"
+        );
+        assert!(!replicator.is_live("backup"), "evicted after the retry");
+        assert_eq!(replicator.stats().records_replicated, 0);
+        let _ = release.send(());
+        assert_eq!(join.join().unwrap(), 2, "one attempt, then one retry");
+    }
+
+    /// A fake backup whose sockets receive into a 64 KiB buffer: on every
+    /// connection it completes the `Hello` / `HelloOk` handshake, then
+    /// never reads again.  It serves connections until `release` fires
+    /// (the sockets stay open until then) and its thread returns how many
+    /// it served.
+    #[cfg(target_os = "linux")]
+    fn non_reading_backup() -> (
+        SocketAddr,
+        std::sync::mpsc::Sender<()>,
+        std::thread::JoinHandle<usize>,
+    ) {
+        let listener = pinned_listener();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let join = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while let Err(std::sync::mpsc::TryRecvError::Empty) = released.try_recv() {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    }
+                    Err(e) => panic!("accept failed: {e}"),
+                };
+                stream.set_nonblocking(false).unwrap();
+                let mut reader = FrameReader::new(stream.try_clone().unwrap());
+                let frame = reader.read_frame().unwrap();
+                assert!(matches!(
+                    ReplicaMessage::decode(frame).unwrap(),
+                    ReplicaMessage::Hello { .. }
+                ));
+                let hello_ok = ReplicaMessage::HelloOk {
+                    node_id: "backup".into(),
+                };
+                let mut writer = FrameWriter::new(stream.try_clone().unwrap());
+                writer.write_frame(&hello_ok.encode()).unwrap();
+                held.push(stream);
+            }
+            held.len()
+        });
+        (addr, release, join)
+    }
+
+    /// A loopback listener whose accepted sockets inherit a receive buffer
+    /// pinned to 64 KiB, so the kernel cannot autotune it up to
+    /// `tcp_rmem`'s maximum.
+    #[cfg(target_os = "linux")]
+    fn pinned_listener() -> TcpListener {
+        use std::os::fd::AsRawFd;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        crate::sys::set_recv_buffer(listener.as_raw_fd(), 64 * 1024).unwrap();
+        listener
+    }
+
+    /// Bytes a sender can park in the kernel towards a pinned receiver
+    /// that reads nothing, whatever the host's socket-buffer tuning: a
+    /// probe connection is written into until the kernel takes nothing
+    /// more (the send buffer autotunes while it fills), then the sizes the
+    /// kernel reports, `SO_SNDBUF` on the sender and `SO_RCVBUF` on the
+    /// receiver, bound what a stalled connection can hold.
+    #[cfg(target_os = "linux")]
+    fn parkable_bytes() -> usize {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let listener = pinned_listener();
+        let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (receiver, _) = listener.accept().unwrap();
+        sender.set_nonblocking(true).unwrap();
+        let chunk = vec![0u8; 64 * 1024];
+        let mut idle_rounds = 0;
+        while idle_rounds < 3 {
+            match sender.write(&chunk) {
+                Ok(_) => idle_rounds = 0,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    idle_rounds += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("probe write failed: {e}"),
+            }
+        }
+        crate::sys::send_buffer(sender.as_raw_fd()).unwrap()
+            + crate::sys::recv_buffer(receiver.as_raw_fd()).unwrap()
+    }
+
+    /// A backup that completes the handshake and then stops reading must
+    /// not wedge the primary inside a group's write: the blocked write
+    /// times out after `ack_timeout`, the retry does the same, and the peer
+    /// is evicted with nothing counted as replicated.  The group is twice
+    /// what the kernel can park, so the write must block whatever the
+    /// host's buffer tuning.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn backup_that_stops_reading_times_out_the_write_and_is_evicted() {
+        const NAME_LEN: usize = 16 * 1024;
+        let ack_timeout = Duration::from_millis(300);
+        let count = 2 * parkable_bytes() / NAME_LEN + 1;
+        // Removals of one long name: bulky records that cost no hashing.
+        let entries = vec![WalEntry::Remove("x".repeat(NAME_LEN)); count];
+        let (addr, release, join) = non_reading_backup();
+        let peers = BTreeMap::from([("backup".to_string(), addr)]);
+        let config = ReplicatorConfig {
+            ack_timeout,
+            ..ReplicatorConfig::default()
+        };
+        let replicator = Replicator::new("primary", peers, config);
+
+        let started = Instant::now();
+        replicator.replicate_group(&entries).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < 20 * ack_timeout,
+            "a stuck write must fail within its timeout, took {elapsed:?}"
         );
         assert!(!replicator.is_live("backup"), "evicted after the retry");
         assert_eq!(replicator.stats().records_replicated, 0);
