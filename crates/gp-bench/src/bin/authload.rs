@@ -44,10 +44,10 @@
 //!   the backup's WAL append — on top of the single-node durable number.
 //! * **cluster_rejoin** — the same replicated load, but one node is
 //!   killed a quarter into the measured window and restarted (crash
-//!   recovery + ring re-admission + catch-up transfer, gated behind the
-//!   auth listener) at the halfway mark.  The metric counts acked
-//!   operations over the *whole* window, so it prices what a failover
-//!   plus a catch-up-gated rejoin costs the serving path.
+//!   recovery + ring re-admission + a join round that pulls what the node
+//!   lacks, gated behind the auth listener) at the halfway mark.  The
+//!   metric counts acked operations over the *whole* window, so it prices
+//!   what a failover plus a gated rejoin costs the serving path.
 //!
 //! Results merge into `BENCH_results.json` (or `GP_BENCH_OUT`) alongside
 //! the `bench_report` micro-benchmarks: per-login medians under
@@ -500,9 +500,9 @@ fn run_cluster_best_of(
 /// The rejoin scenario: the same replicated load as
 /// [`run_cluster_scenario`], but the last node is killed a quarter into
 /// the measured window and restarted — crash recovery, ring re-admission,
-/// catch-up transfer, traffic gate — at the halfway mark.  The count is
-/// acked operations over the *whole* window, pricing a failover plus a
-/// catch-up-gated rejoin end to end.
+/// join round, traffic gate — at the halfway mark.  The count is acked
+/// operations over the *whole* window, pricing a failover plus a gated
+/// rejoin end to end.
 fn run_cluster_rejoin_scenario(
     label: &str,
     template: &ServerConfig,
@@ -532,14 +532,14 @@ fn run_cluster_rejoin_scenario(
     std::thread::sleep(quarter);
     cluster.kill(nodes - 1);
     std::thread::sleep(quarter);
-    // The restart call blocks through catch-up — that wall-clock is part
+    // The restart call blocks through the join — that wall-clock is part
     // of the measured window, exactly as an operator would experience it.
-    let report = cluster.restart(nodes - 1).expect("rejoin restart");
+    let round = cluster.restart(nodes - 1).expect("rejoin restart");
     assert!(
-        report.completed(),
-        "catch-up must complete against live peers: {report:?}"
+        round.failed_peers.is_empty(),
+        "the join must complete against live peers: {round:?}"
     );
-    // Run out the window (the catch-up may have eaten into it; ops/s is
+    // Run out the window (the join may have eaten into it; ops/s is
     // computed over the true elapsed time either way).
     let deadline = started + quarter * 4;
     let now = Instant::now();
@@ -560,11 +560,11 @@ fn run_cluster_rejoin_scenario(
     };
     eprintln!(
         "[authload] {label:<18} {:>9.0} ops/s  ({} acked ops / {:.2}s, {nodes} nodes, \
-         kill@25% + catch-up rejoin@50%, {} records caught up)",
+         kill@25% + rejoin@50%, {} records pulled)",
         result.ops_per_sec(),
         result.ops,
         result.elapsed.as_secs_f64(),
-        report.records_applied(),
+        round.records_pulled,
     );
     result
 }
@@ -812,7 +812,7 @@ fn main() {
         fresh.set_throughput("authload/cluster_sync_ops_per_sec", cluster.ops_per_sec());
     }
     if let Some(rejoin) = &cluster_rejoin {
-        // Replicated serving across a kill + catch-up-gated rejoin:
+        // Replicated serving across a kill + gated rejoin:
         // acked ops/s over the whole window, failover included.
         fresh.set_result("authload/cluster_rejoin_ns_per_op", rejoin.ns_per_op());
         fresh.set_throughput("authload/cluster_rejoin_ops_per_sec", rejoin.ops_per_sec());

@@ -16,16 +16,16 @@
 //!   listener (an asymmetric partition: clients still reach the node,
 //!   peers cannot);
 //! * [`Cluster::restart`] — crash-recover the node from its own
-//!   snapshots + WAL tails, re-admit it to every survivor's ring, *catch
-//!   it up* ([`crate::replication::catch_up_from_peers`]) and only then
-//!   start its auth listener (the operator runbook in the README is
-//!   exactly this call, by hand).
+//!   snapshots + WAL tails, re-admit it to every survivor's ring, pull
+//!   what it lacks through the anti-entropy exchange
+//!   ([`Replicator::join_round`]) and only then start its auth listener
+//!   (the operator runbook in the README is exactly this call, by hand).
 //!
 //! Restart ordering is load-bearing for rejoin completeness: survivors'
-//! rings re-admit the node **before** catch-up starts, so every record
+//! rings re-admit the node **before** the join starts, so every record
 //! enrolled concurrently either streams live to the joiner or is already
-//! in the snapshot a peer scans — and the auth listener (the only address
-//! clients route to) starts **after** catch-up, so the node takes no
+//! in the range a peer lists — and the auth listener (the only address
+//! clients route to) starts **after** the join, so the node takes no
 //! traffic for ranges it does not yet hold.  Each node also runs a
 //! background anti-entropy thread ([`crate::replication::spawn_anti_entropy`])
 //! that digest-compares its primary ranges against their backups and
@@ -44,9 +44,8 @@ use crate::client::AuthClient;
 use crate::error::NetAuthError;
 use crate::protocol::LoginDecision;
 use crate::replication::{
-    catch_up_from_peers, spawn_anti_entropy, spawn_replication_listener, AntiEntropyHandle,
-    AntiEntropyRound, CatchupOptions, CatchupReport, ReplicationHandle, ReplicationSink,
-    Replicator, ReplicatorConfig,
+    spawn_anti_entropy, spawn_replication_listener, AntiEntropyHandle, AntiEntropyRound,
+    ReplicationHandle, ReplicationSink, Replicator, ReplicatorConfig,
 };
 use crate::server::{AuthServer, DurabilityConfig, ServerConfig, ServerHandle};
 use gp_geometry::Point;
@@ -269,21 +268,11 @@ impl Cluster {
     /// Recover a dead node from its own durable directory and re-admit it
     /// everywhere: crash-recover the store (snapshots + WAL tails), start
     /// a fresh replication listener, re-admit the node to every
-    /// survivor's ring, catch it up from its peers, and only then start
-    /// the auth listener.  This is the operator runbook, as a method.
-    pub fn restart(&mut self, i: usize) -> Result<CatchupReport, NetAuthError> {
-        self.restart_with_catchup(i, CatchupOptions::default())
-    }
-
-    /// [`Cluster::restart`] with explicit [`CatchupOptions`] — the fault
-    /// harness sets [`CatchupOptions::abort_after_records`] to interrupt
-    /// the state transfer mid-stream and observe the gated, partially
-    /// caught-up node.
-    pub fn restart_with_catchup(
-        &mut self,
-        i: usize,
-        options: CatchupOptions,
-    ) -> Result<CatchupReport, NetAuthError> {
+    /// survivor's ring, pull what it lacks from its peers, and only then
+    /// start the auth listener.  This is the operator runbook, as a
+    /// method.  Returns the join round: complete iff its `failed_peers`
+    /// is empty.
+    pub fn restart(&mut self, i: usize) -> Result<AntiEntropyRound, NetAuthError> {
         assert!(
             self.slots[i].running.is_none(),
             "restart targets a dead node"
@@ -306,14 +295,14 @@ impl Cluster {
                 Some((slot.node_id.clone(), addr))
             })
             .collect();
-        let replicator = Arc::new(Replicator::new(&node_id, peers.clone(), self.repl_config));
+        let replicator = Arc::new(Replicator::new(&node_id, peers, self.repl_config));
 
-        // Re-admit the node to every survivor's ring *before* catch-up:
+        // Re-admit the node to every survivor's ring *before* the join:
         // from this instant new writes for its ranges stream to it live,
         // so per peer everything is either in the live stream or in the
-        // snapshot that peer scans next (overlap is harmless — applying
-        // is idempotent).  Clients cannot route here yet: the auth
-        // listener — the traffic gate — is still down.
+        // range that peer lists next (overlap is harmless — applying is
+        // idempotent).  Clients cannot route here yet: the auth listener
+        // — the traffic gate — is still down.
         let new_repl_addr = repl.addr();
         for slot in &self.slots {
             if let Some(running) = slot.running.as_ref() {
@@ -321,28 +310,10 @@ impl Cluster {
             }
         }
 
-        self.log_event(&format!("catchup-begin {node_id}"));
-        let members: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|slot| slot.node_id == node_id || slot.running.is_some())
-            .map(|slot| slot.node_id.clone())
-            .collect();
-        let report = catch_up_from_peers(&node_id, &members, &peers, &store, &options);
-        if report.completed() {
-            self.log_event(&format!(
-                "admitted-after-catchup {node_id} records={}",
-                report.records_applied()
-            ));
-        } else {
-            // Availability over completeness: the node serves anyway (its
-            // own recovered WAL plus whatever streamed), anti-entropy and
-            // a manual [`Cluster::catch_up`] close the gap.
-            self.log_event(&format!(
-                "catchup-incomplete {node_id} records={}",
-                report.records_applied()
-            ));
-        }
+        // Availability over completeness: an incomplete join still lets
+        // the node serve (its own recovered WAL plus whatever it pulled);
+        // anti-entropy and a rerun via [`Cluster::catch_up`] close the gap.
+        let round = self.join(i, &replicator, &store);
 
         // Traffic gate: only now does the node take client traffic.
         let sink: Arc<dyn ReplicationSink> = Arc::clone(&replicator) as _;
@@ -359,50 +330,47 @@ impl Cluster {
             replicator,
             anti_entropy,
         });
-        Ok(report)
+        Ok(round)
     }
 
-    /// Re-run catch-up on a *live* node (e.g. after a restart whose
-    /// transfer was interrupted): stream every record the node backs from
-    /// its live peers and apply idempotently.
-    pub fn catch_up(&self, i: usize, options: CatchupOptions) -> CatchupReport {
-        let node_id = self.slots[i].node_id.clone();
-        let store = {
-            let running = self.slots[i]
-                .running
-                .as_ref()
-                // gp-lint: allow(L4, fault-harness precondition; callers restart the node first)
-                .expect("catch_up targets a live node");
-            running.auth.server().store()
-        };
-        let peers: BTreeMap<String, SocketAddr> = self
-            .slots
-            .iter()
-            .filter(|slot| slot.node_id != node_id)
-            .filter_map(|slot| {
-                let running = slot.running.as_ref()?;
-                let addr = running.repl.as_ref()?.addr();
-                Some((slot.node_id.clone(), addr))
-            })
-            .collect();
+    /// Rerun the join on live node `i` (e.g. after a restart whose join
+    /// was incomplete): pull whatever it still lacks from its live peers.
+    /// `None` on a dead node.
+    pub fn catch_up(&self, i: usize) -> Option<AntiEntropyRound> {
+        let running = self.slots[i].running.as_ref()?;
+        Some(self.join(i, &running.replicator, &running.auth.server().store()))
+    }
+
+    /// Node `i`'s join round under the current membership: every running
+    /// node plus `i` itself.  A member that cannot be asked (dead since,
+    /// or its replication severed) lands in `failed_peers`.
+    fn join(
+        &self,
+        i: usize,
+        replicator: &Replicator,
+        store: &ShardedPasswordStore,
+    ) -> AntiEntropyRound {
+        let node_id = &self.slots[i].node_id;
         let members: Vec<String> = self
             .slots
             .iter()
-            .filter(|slot| slot.node_id == node_id || slot.running.is_some())
-            .map(|slot| slot.node_id.clone())
+            .enumerate()
+            .filter(|(j, slot)| *j == i || slot.running.is_some())
+            .map(|(_, slot)| slot.node_id.clone())
             .collect();
-        self.log_event(&format!("catchup-begin {node_id}"));
-        let report = catch_up_from_peers(&node_id, &members, &peers, &store, &options);
+        self.log_event(&format!("join-begin {node_id}"));
+        let round = replicator.join_round(&members, store);
         self.log_event(&format!(
-            "{} {node_id} records={}",
-            if report.completed() {
-                "admitted-after-catchup"
+            "{} {node_id} pulled={} failed={:?}",
+            if round.failed_peers.is_empty() {
+                "join-complete"
             } else {
-                "catchup-incomplete"
+                "join-incomplete"
             },
-            report.records_applied()
+            round.records_pulled,
+            round.failed_peers
         ));
-        report
+        round
     }
 
     /// Run one synchronous anti-entropy round on node `i` (in addition to

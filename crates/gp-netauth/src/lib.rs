@@ -48,18 +48,18 @@
 //!   peer, and acknowledged to the client only after the backup's
 //!   durable apply and ack.  Failure handling is crash-only: a peer that
 //!   fails a send twice is evicted from the ring and replicas re-route
-//!   to the next successor.  Two back-fill paths keep replicas complete:
-//!   **catch-up** ([`replication::catch_up_from_peers`]) streams a
-//!   (re)joining node a snapshot of every record it backs, and
-//!   **anti-entropy** ([`replication::spawn_anti_entropy`]) periodically
-//!   digest-compares each primary→backup range and repairs divergence
-//!   record-by-record.
+//!   to the next successor.  One back-fill protocol keeps replicas
+//!   complete: **anti-entropy** digest-compares replica-pair ranges and,
+//!   only where they differ, lists and repairs them record by record.  It
+//!   runs periodically ([`replication::spawn_anti_entropy`]) and once
+//!   when a node (re)joins ([`replication::Replicator::join_round`]),
+//!   which pulls just the records the node lacks.
 //! * [`cluster`] — a loopback [`cluster::Cluster`] of replicated nodes
 //!   with crash-only fault hooks (kill / sever / restart) and the
 //!   ring-routing [`cluster::ClusterClient`], whose transport-failure
 //!   handling promotes exactly the node holding an account's replica.
-//!   A restarted node is ring-admitted but traffic-gated until catch-up
-//!   completes.  The kill-under-load harness (`tests/cluster_failover.rs`)
+//!   A restarted node is ring-admitted but traffic-gated until its join
+//!   round has pulled what it lacks.  The kill-under-load harness (`tests/cluster_failover.rs`)
 //!   proves no acked enrollment is ever lost — including across a kill +
 //!   rejoin.
 //!
@@ -114,9 +114,8 @@ pub use gp_passwords::FsyncPolicy;
 pub use lockout::LockoutTracker;
 pub use protocol::{ClientMessage, LoginDecision, ServerMessage};
 pub use replication::{
-    catch_up_from_peers, spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, CatchupOptions,
-    CatchupReport, PeerCatchup, ReplicaMessage, ReplicationHandle, ReplicationSink,
-    ReplicationStats, Replicator, ReplicatorConfig,
+    spawn_anti_entropy, AntiEntropyHandle, AntiEntropyRound, ReplicaMessage, ReplicationHandle,
+    ReplicationSink, ReplicationStats, Replicator, ReplicatorConfig,
 };
 pub use server::{
     AuthServer, DurabilityConfig, ServerConfig, ServerHandle, ServerStats, WorkerMetrics,

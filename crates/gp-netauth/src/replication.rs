@@ -16,21 +16,20 @@
 //! their own tag space:
 //!
 //! ```text
-//! Hello          { node_id }                  sender introduces itself (once per conn)
-//! HelloOk        { node_id }                  listener's reply
-//! Record         { seq, payload }             one WAL entry, payload = WalEntry::to_payload
-//! Ack            { seq }                      the record is durable on the replica
-//! CatchupRequest { node_id, members }         stream me every record I back under `members`
-//! CatchupDone    { count }                    end of a Record stream (catch-up or pull)
-//! DigestRequest  { primary, backup, members } anti-entropy: digest your (primary→backup) range
-//! DigestReply    { count, sum, xor }          the flat per-range digest
-//! RangeRequest   { primary, backup, members } divergence found: list the range's records
-//! RangeReply     { done, entries }            (username, record hash) pairs, chunked
-//! PullRequest    { usernames }                stream me these records (repair / rejoin pull)
+//! Hello         { node_id }                  sender introduces itself (once per conn)
+//! HelloOk       { node_id }                  listener's reply
+//! Record        { seq, payload }             one WAL entry, payload = WalEntry::to_payload
+//! Ack           { seq }                      the record is durable on the replica
+//! PullDone      { count }                    end of the Record stream answering a PullRequest
+//! DigestRequest { primary, backup, members } digest your copy of the (primary→backup) range
+//! DigestReply   { count, sum, xor }          the flat per-range digest
+//! RangeRequest  { primary, backup, members } digests differ: list the range's records
+//! RangeReply    { done, entries }            (username, record hash) pairs, chunked
+//! PullRequest   { usernames }                stream me these records
 //! ```
 //!
 //! Every exchange with a peer runs over one blocking request/response
-//! connection type: the live write path, catch-up and anti-entropy alike.
+//! connection type: the live write path and anti-entropy alike.
 //! On the write path the sender numbers a group's records from the
 //! connection's own counter, writes them back-to-back, then reads `Ack`s
 //! inline on the same socket until `acked >= last seq`, with
@@ -48,37 +47,40 @@
 //! left, local-only operation) takes over.  A dead peer that
 //! restarts is re-admitted with [`Replicator::revive`].
 //!
-//! # Catch-up and anti-entropy
+//! # Anti-entropy: the one back-fill protocol
 //!
-//! Live streaming only covers *new* records, so two back-fill paths keep
-//! replicas complete (see the README's replication section):
+//! Live streaming only covers *new* records.  One exchange fills in what
+//! a replica misses, run two ways (see the README's replication section):
 //!
-//! * **Catch-up** ([`catch_up_from_peers`]) — a (re)joining node asks
-//!   every live peer for a shard-consistent snapshot of the records it
-//!   now backs.  Placement is a pure function of membership, so the
-//!   request carries the member list and the serving peer reconstructs
-//!   the same [`HashRing`] to filter its records.  Applying reuses
-//!   [`ShardedPasswordStore::apply_replicated`] (WAL-first
-//!   insert-or-replace), so an interrupted transfer replays idempotently
-//!   on retry.
-//! * **Anti-entropy** ([`Replicator::anti_entropy_round`], run
-//!   periodically by [`spawn_anti_entropy`]) — for each live backup, the
-//!   primary compares flat per-range digests
-//!   ([`gp_passwords::RangeDigest`] over the keys whose replica pair is
-//!   `(primary, backup)`); on divergence the sides exchange sorted
-//!   `(username, record-hash)` lists and repair record-by-record: the
-//!   primary pushes records the backup lacks and pulls records written
-//!   while it was away.  Repair counters surface in
-//!   [`ReplicationStats`].
+//! * **Periodically** ([`Replicator::anti_entropy_round`], on the thread
+//!   [`spawn_anti_entropy`] starts): for each live peer, the node compares
+//!   flat digests ([`gp_passwords::RangeDigest`]) of the range whose
+//!   replica pair is `(self, peer)`.  Only when they differ do the sides
+//!   exchange sorted `(username, record-hash)` lists.  The node then pushes
+//!   the records the peer lacks or holds with different bytes (the pair's
+//!   primary wins: it acked them) and pulls the records only the peer has.
+//! * **Once, on (re)join** ([`Replicator::join_round`], before the node
+//!   opens its auth listener): for each live peer and for *every* replica
+//!   pair the node belongs to, `(self, X)` and `(X, self)` for each other
+//!   member X, the same digest-then-list exchange runs, and the node only
+//!   pulls.  A node that recovered most of its ranges from its own WAL so
+//!   fetches just the records it lacks, and a record any live peer holds
+//!   in one of its ranges reaches it.  Records both sides hold with
+//!   different bytes are left to the pair primary's periodic round.
+//!
+//! Placement is a pure function of membership, so every request carries
+//! the member list and the serving peer rebuilds the same [`HashRing`] to
+//! filter its records.  Pulled records are applied through
+//! [`ShardedPasswordStore::apply_replicated`] (WAL-first insert-or-
+//! replace), so an interrupted exchange leaves a durable prefix and a rerun
+//! fetches only the rest.  Counters surface in [`ReplicationStats`].
 
 use crate::error::NetAuthError;
 use crate::framing::{FrameReader, FrameWriter};
 use crate::server::SHUTDOWN_POLL;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gp_passwords::wal::WalEntry;
-use gp_passwords::{
-    diff_range_entries, HashRing, RangeDigest, ShardedPasswordStore, StoredPassword,
-};
+use gp_passwords::{diff_range_entries, HashRing, RangeDiff, RangeDigest, ShardedPasswordStore};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
@@ -91,8 +93,7 @@ const TAG_HELLO: u8 = 0x41;
 const TAG_HELLO_OK: u8 = 0x42;
 const TAG_RECORD: u8 = 0x43;
 const TAG_ACK: u8 = 0x44;
-const TAG_CATCHUP_REQUEST: u8 = 0x45;
-const TAG_CATCHUP_DONE: u8 = 0x46;
+const TAG_PULL_DONE: u8 = 0x46;
 const TAG_DIGEST_REQUEST: u8 = 0x47;
 const TAG_DIGEST_REPLY: u8 = 0x48;
 const TAG_RANGE_REQUEST: u8 = 0x49;
@@ -128,7 +129,7 @@ pub enum ReplicaMessage {
     /// One WAL entry to apply.
     Record {
         /// Sequence number, counted from 1 per sending connection (per
-        /// stream in a catch-up or pull reply).
+        /// stream in a pull reply).
         seq: u64,
         /// [`WalEntry::to_payload`] bytes — bit-identical to the bytes the
         /// primary appended to its own WAL.
@@ -139,18 +140,9 @@ pub enum ReplicaMessage {
         /// Sequence number being acknowledged.
         seq: u64,
     },
-    /// A (re)joining node asks the listener to stream every record the
-    /// requester backs under the given membership (placement is a pure
-    /// function of the member set, so both sides compute the same ranges).
-    CatchupRequest {
-        /// The joining node (the one that will hold the streamed records).
-        node_id: String,
-        /// Full cluster membership the ranges are computed under.
-        members: Vec<String>,
-    },
-    /// Terminates a `Record` stream started by a `CatchupRequest` or a
-    /// `PullRequest`: exactly `count` records were sent.
-    CatchupDone {
+    /// Terminates the `Record` stream answering a `PullRequest`: exactly
+    /// `count` records were sent.
+    PullDone {
         /// Records streamed before this marker.
         count: u64,
     },
@@ -191,7 +183,7 @@ pub enum ReplicaMessage {
         entries: Vec<(String, u64)>,
     },
     /// Ask the listener to stream its records for these accounts (repair
-    /// pull).  Answered with `Record` frames then a `CatchupDone`.
+    /// or rejoin pull).  Answered with `Record` frames then a `PullDone`.
     PullRequest {
         /// Account names to stream (absent accounts are skipped).
         usernames: Vec<String>,
@@ -292,13 +284,8 @@ impl ReplicaMessage {
                 buf.put_u8(TAG_ACK);
                 buf.put_u64(*seq);
             }
-            ReplicaMessage::CatchupRequest { node_id, members } => {
-                buf.put_u8(TAG_CATCHUP_REQUEST);
-                put_node_id(&mut buf, node_id);
-                put_str_list(&mut buf, members);
-            }
-            ReplicaMessage::CatchupDone { count } => {
-                buf.put_u8(TAG_CATCHUP_DONE);
+            ReplicaMessage::PullDone { count } => {
+                buf.put_u8(TAG_PULL_DONE);
                 buf.put_u64(*count);
             }
             ReplicaMessage::DigestRequest {
@@ -371,15 +358,11 @@ impl ReplicaMessage {
                 }
                 ReplicaMessage::Ack { seq: buf.get_u64() }
             }
-            TAG_CATCHUP_REQUEST => ReplicaMessage::CatchupRequest {
-                node_id: get_node_id(&mut buf)?,
-                members: get_str_list(&mut buf)?,
-            },
-            TAG_CATCHUP_DONE => {
+            TAG_PULL_DONE => {
                 if buf.remaining() < 8 {
-                    return Err(malformed("truncated catch-up done"));
+                    return Err(malformed("truncated pull done"));
                 }
-                ReplicaMessage::CatchupDone {
+                ReplicaMessage::PullDone {
                     count: buf.get_u64(),
                 }
             }
@@ -469,8 +452,8 @@ impl ReplicationHandle {
         self.applied.load(Ordering::Relaxed)
     }
 
-    /// Number of records streamed *out* to catching-up or repairing peers
-    /// (catch-up and pull requests).
+    /// Number of records streamed *out* to repairing or rejoining peers
+    /// (pull requests).
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
@@ -571,7 +554,7 @@ fn pair_range<'a>(
 }
 
 /// One inbound replication connection: handshake, then apply-and-ack
-/// records (and serve catch-up / anti-entropy requests) until the peer
+/// records (and serve anti-entropy requests) until the peer
 /// hangs up or shutdown is requested.
 fn serve_replica_conn(
     stream: TcpStream,
@@ -634,22 +617,6 @@ fn serve_replica_conn(
                     return;
                 }
             }
-            ReplicaMessage::CatchupRequest {
-                node_id: joiner,
-                members,
-            } if greeted => {
-                // Stream a shard-consistent snapshot of every record the
-                // joiner backs under the requested membership.  A shutdown
-                // mid-stream (the fault harness killing this node) drops
-                // the connection with the stream half-sent — the joiner's
-                // idempotent replay makes the retry safe.
-                let ring = HashRing::with_nodes(&members);
-                let records = store.records_in_range(|key| ring.holds(key, &joiner));
-                let Some(count) = stream_records(&mut writer, records, shutdown) else {
-                    return;
-                };
-                served.fetch_add(count, Ordering::Relaxed);
-            }
             ReplicaMessage::DigestRequest {
                 primary,
                 backup,
@@ -691,47 +658,39 @@ fn serve_replica_conn(
                 }
             }
             ReplicaMessage::PullRequest { usernames } if greeted => {
-                // An absent account is skipped, not an error: the
-                // requester diffed against a snapshot and the record may
-                // have been removed since.
-                let records = usernames.iter().filter_map(|name| store.get(name));
-                let Some(count) = stream_records(&mut writer, records, shutdown) else {
-                    return;
-                };
+                // Stream the records numbered from 1, then `PullDone`.  An
+                // absent account is skipped, not an error: the requester
+                // diffed against a snapshot and the record may have been
+                // removed since.  A shutdown mid-stream drops the
+                // connection with the stream half-sent; the requester's
+                // applied prefix is durable and a rerun pulls the rest.
+                let mut count = 0u64;
+                for record in usernames.iter().filter_map(|name| store.get(name)) {
+                    if shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    count += 1;
+                    let message = ReplicaMessage::Record {
+                        seq: count,
+                        payload: WalEntry::Update(record).to_payload(),
+                    };
+                    if writer.write_frame_buffered(&message.encode()).is_err() {
+                        return;
+                    }
+                }
+                // Counted before the end marker leaves, so a requester that
+                // has read it also sees the count.
                 served.fetch_add(count, Ordering::Relaxed);
+                let done = ReplicaMessage::PullDone { count };
+                if writer.write_frame(&done.encode()).is_err() {
+                    return;
+                }
             }
             // Hello out of order, HelloOk/Ack from a sender, or a record
             // before the handshake: protocol violation, drop the conn.
             _ => return,
         }
     }
-}
-
-/// Stream `records` as `Record` frames numbered from 1, then
-/// `CatchupDone { count }`: the reply to a `CatchupRequest` or a
-/// `PullRequest`.  Returns the count sent, or `None` when a write failed
-/// or shutdown cut the stream (the caller drops the connection).
-fn stream_records(
-    writer: &mut FrameWriter<BufWriter<TcpStream>>,
-    records: impl IntoIterator<Item = StoredPassword>,
-    shutdown: &AtomicBool,
-) -> Option<u64> {
-    let mut count = 0u64;
-    for record in records {
-        if shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        count += 1;
-        let message = ReplicaMessage::Record {
-            seq: count,
-            payload: WalEntry::Update(record).to_payload(),
-        };
-        writer.write_frame_buffered(&message.encode()).ok()?;
-    }
-    writer
-        .write_frame(&ReplicaMessage::CatchupDone { count }.encode())
-        .ok()?;
-    Some(count)
 }
 
 // ---------------------------------------------------------------------------
@@ -791,18 +750,19 @@ struct SyncCounters {
 pub struct ReplicationStats {
     /// Records streamed to backups on the live (write-path) stream.
     pub records_replicated: u64,
-    /// Completed anti-entropy rounds.
+    /// Completed periodic anti-entropy rounds (joins are not counted).
     pub anti_entropy_rounds: u64,
-    /// Primary→backup ranges digest-checked across all rounds.
+    /// Primary→backup ranges digest-checked across all rounds and joins.
     pub ranges_checked: u64,
     /// Ranges whose digests disagreed (divergence detected).
     pub ranges_divergent: u64,
-    /// Records pushed to backups during repair.
+    /// Records pushed to peers during repair.
     pub records_pushed: u64,
-    /// Records pulled from backups during repair.
+    /// Records pulled from peers during repair or a join.
     pub records_pulled: u64,
-    /// Anti-entropy exchanges that failed on transport errors (the peer
-    /// is skipped for the round, never evicted).
+    /// Peers an anti-entropy round or a join could not ask: transport
+    /// errors (the peer is skipped, never evicted) or, in a join, a
+    /// member with no known address.
     pub sync_failures: u64,
 }
 
@@ -923,6 +883,17 @@ impl Replicator {
         )
     }
 
+    /// Open a fresh exchange connection to peer `node`.
+    fn connect(&self, node: &str) -> Result<SyncConn, NetAuthError> {
+        let Some(peer) = self.peers.get(node) else {
+            return Err(NetAuthError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                format!("no replication address for {node}"),
+            )));
+        };
+        self.open(*peer.addr.lock())
+    }
+
     /// One anti-entropy round: for every live peer, digest-compare the
     /// `(self → peer)` range and repair any divergence record-by-record.
     ///
@@ -944,103 +915,86 @@ impl Replicator {
                 continue;
             }
             round.ranges_checked += 1;
-            match self.sync_range_with(peer_id, &ring, &members, store) {
+            let repair = self.connect(peer_id).and_then(|mut conn| {
+                let Some(diff) = conn.diff_pair(&self.node_id, peer_id, &ring, &members, store)?
+                else {
+                    return Ok(None);
+                };
+                let pushed = conn.push_names(&diff.push, store)?;
+                Ok(Some((pushed, conn.pull_names(&diff.pull, store)?)))
+            });
+            match repair {
                 Ok(None) => {}
                 Ok(Some((pushed, pulled))) => {
                     round.ranges_divergent += 1;
                     round.records_pushed += pushed;
                     round.records_pulled += pulled;
                 }
-                Err(_) => {
-                    round.failed_peers.push(peer_id.clone());
-                    self.counters.sync_failures.fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_) => round.failed_peers.push(peer_id.clone()),
             }
         }
         self.counters
             .anti_entropy_rounds
             .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .ranges_checked
-            .fetch_add(round.ranges_checked, Ordering::Relaxed);
-        self.counters
-            .ranges_divergent
-            .fetch_add(round.ranges_divergent, Ordering::Relaxed);
-        self.counters
-            .records_pushed
-            .fetch_add(round.records_pushed, Ordering::Relaxed);
-        self.counters
-            .records_pulled
-            .fetch_add(round.records_pulled, Ordering::Relaxed);
+        self.tally(&round);
         round
     }
 
-    /// Digest-compare the `(self → backup)` range with `backup` and repair
-    /// a mismatch.  Returns `None` when the digests already agree, or the
-    /// `(pushed, pulled)` record counts of the repair.
-    fn sync_range_with(
-        &self,
-        backup: &str,
-        ring: &HashRing,
-        members: &[String],
-        store: &ShardedPasswordStore,
-    ) -> Result<Option<(u64, u64)>, NetAuthError> {
-        let range = pair_range(ring, &self.node_id, backup);
-        let local = store.range_digest(&range);
-        let mut conn = self.open(*self.peers[backup].addr.lock())?;
-        conn.send(&ReplicaMessage::DigestRequest {
-            primary: self.node_id.clone(),
-            backup: backup.to_string(),
-            members: members.to_vec(),
-        })?;
-        let remote = match conn.recv()? {
-            ReplicaMessage::DigestReply { count, sum, xor } => RangeDigest { count, sum, xor },
-            _ => return Err(malformed("expected digest reply")),
-        };
-        if remote == local {
-            return Ok(None);
-        }
-
-        // Divergence: fetch the backup's record-level listing and diff.
-        conn.send(&ReplicaMessage::RangeRequest {
-            primary: self.node_id.clone(),
-            backup: backup.to_string(),
-            members: members.to_vec(),
-        })?;
-        let mut remote_entries: Vec<(String, u64)> = Vec::new();
-        loop {
-            match conn.recv()? {
-                ReplicaMessage::RangeReply { done, entries } => {
-                    remote_entries.extend(entries);
-                    if done {
-                        break;
+    /// Back-fill this node as it (re)joins under `members`: from each
+    /// other member, pull every record this node lacks in each replica
+    /// pair it belongs to — `(self, X)` and `(X, self)` for every other
+    /// member X, not only the peer asked.  Run it before the node takes
+    /// client traffic.
+    ///
+    /// Each pair costs one digest round-trip, plus a listing when the
+    /// digests differ, so a node that recovered its ranges from its own
+    /// WAL fetches only the gap.  Records both sides hold with different
+    /// bytes are left to the pair primary's periodic round.  A member
+    /// without a known address, or whose exchange fails, is listed in
+    /// [`AntiEntropyRound::failed_peers`]; the join is complete iff that
+    /// list is empty.  Pulls apply durably and idempotently, so a rerun
+    /// after a failure fetches only what is still missing.
+    pub fn join_round(&self, members: &[String], store: &ShardedPasswordStore) -> AntiEntropyRound {
+        let ring = HashRing::with_nodes(members);
+        let me = self.node_id.as_str();
+        let others: Vec<&String> = members.iter().filter(|m| *m != me).collect();
+        let pairs: Vec<(&str, &str)> = others
+            .iter()
+            .flat_map(|x| [(me, x.as_str()), (x.as_str(), me)])
+            .collect();
+        let mut round = AntiEntropyRound::default();
+        for peer_id in others {
+            let pulled = self.connect(peer_id).and_then(|mut conn| {
+                for &(primary, backup) in &pairs {
+                    round.ranges_checked += 1;
+                    if let Some(diff) = conn.diff_pair(primary, backup, &ring, members, store)? {
+                        round.ranges_divergent += 1;
+                        round.records_pulled += conn.pull_names(&diff.pull, store)?;
                     }
                 }
-                _ => return Err(malformed("expected range reply")),
+                Ok(())
+            });
+            if pulled.is_err() {
+                round.failed_peers.push(peer_id.clone());
             }
         }
-        let diff = diff_range_entries(&store.range_entries(&range), &remote_entries);
+        self.tally(&round);
+        round
+    }
 
-        // Push this side's copies, one ack wait per chunk.
-        let pushes: Vec<Vec<u8>> = diff
-            .push
-            .iter()
-            .filter_map(|name| store.get(name))
-            .map(|record| WalEntry::Update(record).to_payload())
-            .collect();
-        for chunk in pushes.chunks(SYNC_CHUNK) {
-            conn.send_records(chunk)?;
-        }
-
-        // Pull records written while this node was away.
-        let mut pulled = 0u64;
-        for chunk in diff.pull.chunks(SYNC_CHUNK) {
-            conn.send(&ReplicaMessage::PullRequest {
-                usernames: chunk.to_vec(),
-            })?;
-            pulled += conn.apply_stream(store, None)?.0;
-        }
-        Ok(Some((pushes.len() as u64, pulled)))
+    /// Add a round's outcome to the node's cumulative counters.
+    fn tally(&self, round: &AntiEntropyRound) {
+        let c = &self.counters;
+        c.ranges_checked
+            .fetch_add(round.ranges_checked, Ordering::Relaxed);
+        c.ranges_divergent
+            .fetch_add(round.ranges_divergent, Ordering::Relaxed);
+        c.records_pushed
+            .fetch_add(round.records_pushed, Ordering::Relaxed);
+        c.records_pulled
+            .fetch_add(round.records_pulled, Ordering::Relaxed);
+        c.sync_failures
+            .fetch_add(round.failed_peers.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -1049,8 +1003,8 @@ impl Replicator {
 // ---------------------------------------------------------------------------
 
 /// A blocking request/response connection to a peer's replication
-/// listener.  The live write path keeps one per peer; catch-up and
-/// anti-entropy open their own.  Every read waits at most `io_timeout`,
+/// listener.  The live write path keeps one per peer; every anti-entropy
+/// exchange opens its own.  Every read waits at most `io_timeout`,
 /// and so does every blocked write.
 #[derive(Debug)]
 struct SyncConn {
@@ -1153,34 +1107,107 @@ impl SyncConn {
         }
     }
 
-    /// Apply every streamed `Record` durably until `CatchupDone`, whose
-    /// count must match.  Returns the records applied and whether the
-    /// stream ran to its end: with `abort_after` set (a fault hook) it
-    /// stops early, incomplete, once that many were applied.
-    fn apply_stream(
+    /// Digest-compare this side's copy of the `(primary → backup)` range
+    /// under `members` with the peer's.  `None` when the digests agree;
+    /// otherwise the peer lists its copy and the diff says which records
+    /// only this side holds, or holds with different bytes (`push`), and
+    /// which only the peer holds (`pull`).
+    fn diff_pair(
         &mut self,
+        primary: &str,
+        backup: &str,
+        ring: &HashRing,
+        members: &[String],
         store: &ShardedPasswordStore,
-        abort_after: Option<u64>,
-    ) -> Result<(u64, bool), NetAuthError> {
+    ) -> Result<Option<RangeDiff>, NetAuthError> {
+        let range = pair_range(ring, primary, backup);
+        let local = store.range_digest(&range);
+        self.send(&ReplicaMessage::DigestRequest {
+            primary: primary.to_string(),
+            backup: backup.to_string(),
+            members: members.to_vec(),
+        })?;
+        let remote = match self.recv()? {
+            ReplicaMessage::DigestReply { count, sum, xor } => RangeDigest { count, sum, xor },
+            _ => return Err(malformed("expected digest reply")),
+        };
+        if remote == local {
+            return Ok(None);
+        }
+        self.send(&ReplicaMessage::RangeRequest {
+            primary: primary.to_string(),
+            backup: backup.to_string(),
+            members: members.to_vec(),
+        })?;
+        let mut remote_entries: Vec<(String, u64)> = Vec::new();
+        loop {
+            match self.recv()? {
+                ReplicaMessage::RangeReply { done, entries } => {
+                    remote_entries.extend(entries);
+                    if done {
+                        break;
+                    }
+                }
+                _ => return Err(malformed("expected range reply")),
+            }
+        }
+        Ok(Some(diff_range_entries(
+            &store.range_entries(&range),
+            &remote_entries,
+        )))
+    }
+
+    /// Push this side's copies of `names` to the peer, one ack wait per
+    /// chunk.  Returns the records pushed.
+    fn push_names(
+        &mut self,
+        names: &[String],
+        store: &ShardedPasswordStore,
+    ) -> Result<u64, NetAuthError> {
+        let pushes: Vec<Vec<u8>> = names
+            .iter()
+            .filter_map(|name| store.get(name))
+            .map(|record| WalEntry::Update(record).to_payload())
+            .collect();
+        for chunk in pushes.chunks(SYNC_CHUNK) {
+            self.send_records(chunk)?;
+        }
+        Ok(pushes.len() as u64)
+    }
+
+    /// Pull the peer's copies of `names` and apply each durably.  Returns
+    /// the records pulled.
+    fn pull_names(
+        &mut self,
+        names: &[String],
+        store: &ShardedPasswordStore,
+    ) -> Result<u64, NetAuthError> {
+        let mut pulled = 0u64;
+        for chunk in names.chunks(SYNC_CHUNK) {
+            self.send(&ReplicaMessage::PullRequest {
+                usernames: chunk.to_vec(),
+            })?;
+            pulled += self.apply_stream(store)?;
+        }
+        Ok(pulled)
+    }
+
+    /// Apply every streamed `Record` durably until `PullDone`, whose count
+    /// must match.  Returns the records applied.
+    fn apply_stream(&mut self, store: &ShardedPasswordStore) -> Result<u64, NetAuthError> {
         let mut applied = 0u64;
         loop {
             match self.recv()? {
                 ReplicaMessage::Record { payload, .. } => {
                     let entry = WalEntry::from_payload(&payload)
                         .map_err(|_| malformed("bad streamed record payload"))?;
-                    // Durable, idempotent apply: a crash (or the abort
-                    // hook) right after leaves a prefix that replays
-                    // harmlessly.
+                    // Durable, idempotent apply: a crash right after
+                    // leaves a prefix that a rerun completes harmlessly.
                     store.apply_replicated(&entry).map_err(NetAuthError::from)?;
                     applied += 1;
-                    if abort_after.is_some_and(|cap| applied >= cap) {
-                        return Ok((applied, false));
-                    }
                 }
-                ReplicaMessage::CatchupDone { count } if count == applied => {
-                    return Ok((applied, true));
-                }
-                ReplicaMessage::CatchupDone { .. } => {
+                ReplicaMessage::PullDone { count } if count == applied => return Ok(applied),
+                ReplicaMessage::PullDone { .. } => {
                     return Err(malformed("record stream count mismatch"));
                 }
                 _ => return Err(malformed("unexpected frame in record stream")),
@@ -1190,158 +1217,23 @@ impl SyncConn {
 }
 
 // ---------------------------------------------------------------------------
-// Catch-up (joiner side)
+// Anti-entropy (periodic repair and rejoin back-fill)
 // ---------------------------------------------------------------------------
 
-/// Tuning (and fault hooks) for [`catch_up_from_peers`].
-#[derive(Debug, Clone, Copy)]
-pub struct CatchupOptions {
-    /// Per-peer TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// How long to wait for each streamed frame before giving up on the
-    /// peer.
-    pub io_timeout: Duration,
-    /// Fault-injection hook: abort the whole catch-up (dropping the
-    /// connection, no retry) after applying this many records, simulating
-    /// the joiner crashing mid-transfer.  `None` in production.
-    pub abort_after_records: Option<u64>,
-}
-
-impl Default for CatchupOptions {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_secs(5),
-            abort_after_records: None,
-        }
-    }
-}
-
-/// Outcome of catching up from one peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerCatchup {
-    /// The serving peer.
-    pub node_id: String,
-    /// Records applied from this peer's stream (counts partial streams).
-    pub records: u64,
-    /// Whether the peer's `CatchupDone` arrived and matched — only then
-    /// is the range this peer covers considered caught-up.
-    pub completed: bool,
-}
-
-/// Outcome of a full catch-up pass ([`catch_up_from_peers`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CatchupReport {
-    /// Per-peer outcomes, in peer order.
-    pub peers: Vec<PeerCatchup>,
-}
-
-impl CatchupReport {
-    /// Whether every peer's stream completed — the joiner's backed ranges
-    /// are provably complete up to the snapshot points.
-    pub fn completed(&self) -> bool {
-        self.peers.iter().all(|p| p.completed)
-    }
-
-    /// Total records applied across all peers (including partial streams).
-    pub fn records_applied(&self) -> u64 {
-        self.peers.iter().map(|p| p.records).sum()
-    }
-}
-
-/// One catch-up attempt against one peer: request the stream, apply every
-/// record durably, verify the final count.
-fn catch_up_from_peer(
-    node_id: &str,
-    members: &[String],
-    peer_id: &str,
-    addr: SocketAddr,
-    store: &ShardedPasswordStore,
-    options: &CatchupOptions,
-) -> Result<PeerCatchup, NetAuthError> {
-    let mut conn = SyncConn::open(node_id, addr, options.connect_timeout, options.io_timeout)?;
-    conn.send(&ReplicaMessage::CatchupRequest {
-        node_id: node_id.to_string(),
-        members: members.to_vec(),
-    })?;
-    let (records, completed) = conn.apply_stream(store, options.abort_after_records)?;
-    Ok(PeerCatchup {
-        node_id: peer_id.to_string(),
-        records,
-        completed,
-    })
-}
-
-/// Catch a (re)joining node up from its live peers.
-///
-/// For every peer in `peers`, request a snapshot stream of the records
-/// `node_id` backs under `members` and apply each durably via
-/// [`ShardedPasswordStore::apply_replicated`].  Streams overlap (several
-/// peers hold copies of the same range) and redelivery is insert-or-
-/// replace, so double-applies are harmless.  A peer that fails is retried
-/// once on a fresh connection; a second failure marks that peer's
-/// [`PeerCatchup::completed`] `false` — the caller decides whether to
-/// admit anyway (availability) or keep the traffic gate closed.
-///
-/// When [`CatchupOptions::abort_after_records`] is set the abort is
-/// honored on the first attempt with no retry, so the fault harness can
-/// observe the interrupted state deterministically.
-pub fn catch_up_from_peers(
-    node_id: &str,
-    members: &[String],
-    peers: &BTreeMap<String, SocketAddr>,
-    store: &ShardedPasswordStore,
-    options: &CatchupOptions,
-) -> CatchupReport {
-    let mut report = CatchupReport::default();
-    for (peer_id, addr) in peers {
-        if peer_id == node_id {
-            continue;
-        }
-        let attempts = if options.abort_after_records.is_some() {
-            1
-        } else {
-            2
-        };
-        let mut outcome = PeerCatchup {
-            node_id: peer_id.clone(),
-            records: 0,
-            completed: false,
-        };
-        for _ in 0..attempts {
-            match catch_up_from_peer(node_id, members, peer_id, *addr, store, options) {
-                Ok(peer_outcome) => {
-                    outcome.records += peer_outcome.records;
-                    outcome.completed = peer_outcome.completed;
-                    break;
-                }
-                Err(_) => {
-                    // Partial stream already applied durably; the retry
-                    // replays it idempotently from the top.
-                }
-            }
-        }
-        report.peers.push(outcome);
-    }
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Anti-entropy (background repair)
-// ---------------------------------------------------------------------------
-
-/// Outcome of one [`Replicator::anti_entropy_round`].
+/// Outcome of one [`Replicator::anti_entropy_round`] or
+/// [`Replicator::join_round`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AntiEntropyRound {
     /// Primary→backup ranges digest-checked this round.
     pub ranges_checked: u64,
     /// Ranges whose digests disagreed.
     pub ranges_divergent: u64,
-    /// Records pushed to backups during repair.
+    /// Records pushed to peers during repair.
     pub records_pushed: u64,
-    /// Records pulled from backups during repair.
+    /// Records pulled from peers (repair or rejoin back-fill).
     pub records_pulled: u64,
-    /// Peers skipped on transport errors (not evicted).
+    /// Peers that could not be asked: transport errors (never an
+    /// eviction) or, in a join, a member with no known address.
     pub failed_peers: Vec<String>,
 }
 
@@ -1493,11 +1385,7 @@ mod tests {
                 payload: vec![],
             },
             ReplicaMessage::Ack { seq: 7 },
-            ReplicaMessage::CatchupRequest {
-                node_id: "node-2".into(),
-                members: vec!["node-0".into(), "node-1".into(), "node-2".into()],
-            },
-            ReplicaMessage::CatchupDone { count: 99 },
+            ReplicaMessage::PullDone { count: 99 },
             ReplicaMessage::DigestRequest {
                 primary: "node-0".into(),
                 backup: "node-1".into(),
@@ -1923,105 +1811,123 @@ mod tests {
         assert_eq!(join.join().unwrap(), 2, "one attempt, then one retry");
     }
 
-    /// Catch-up streams exactly the records the joiner backs under the
-    /// requested membership, and completes with a verified count.
-    #[test]
-    fn catch_up_streams_the_joiners_ranges() {
+    /// `count` enrolled records named `user0..`.
+    fn enrolled(count: u32) -> Vec<StoredPassword> {
         let sys = system();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
-        let peer_store = Arc::new(ShardedPasswordStore::new(2));
-        for i in 0..32u32 {
-            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store.insert(record).unwrap();
+        (0..count)
+            .map(|i| sys.enroll(&format!("user{i}"), &clicks(i)).unwrap())
+            .collect()
+    }
+
+    /// A live peer `id` whose store holds `records`.
+    fn peer_with(id: &str, records: &[StoredPassword]) -> ReplicationHandle {
+        let store = Arc::new(ShardedPasswordStore::new(2));
+        for record in records {
+            store.insert(record.clone()).unwrap();
         }
-        let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
+        spawn_replication_listener(id, store).unwrap()
+    }
 
-        let joiner_store = ShardedPasswordStore::new(2);
-        let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
-        let report = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions::default(),
-        );
-        assert!(report.completed());
+    /// The joiner's replicator, given its peers' listeners.
+    fn joiner(id: &str, peers: &[(&str, SocketAddr)]) -> Replicator {
+        let peers = peers
+            .iter()
+            .map(|(peer, addr)| (peer.to_string(), *addr))
+            .collect();
+        Replicator::new(id, peers, ReplicatorConfig::default())
+    }
 
-        // With two members every key's replica pair is (owner, other), so
-        // node-b backs everything: the full store must have streamed over.
-        assert_eq!(report.records_applied(), 32);
-        assert_eq!(joiner_store.len(), 32);
+    fn members(ids: &[&str]) -> Vec<String> {
+        ids.iter().map(|id| id.to_string()).collect()
+    }
+
+    /// The join pulls exactly the joiner's ranges: with two members the
+    /// joiner holds every key, so an empty joiner pulls the peer's whole
+    /// store, and the round is complete.
+    #[test]
+    fn join_pulls_exactly_the_joiners_ranges() {
+        let sys = system();
+        let mut listener = peer_with("node-a", &enrolled(32));
+        let store = ShardedPasswordStore::new(2);
+        let round = joiner("node-b", &[("node-a", listener.addr())])
+            .join_round(&members(&["node-a", "node-b"]), &store);
+        assert!(round.failed_peers.is_empty(), "{round:?}");
+        assert_eq!(round.records_pulled, 32);
+        assert_eq!(store.len(), 32);
         assert_eq!(listener.served(), 32);
         for i in 0..32u32 {
-            assert!(joiner_store
-                .verify(&sys, &format!("user{i}"), &clicks(i))
-                .unwrap());
+            assert!(store.verify(&sys, &format!("user{i}"), &clicks(i)).unwrap());
         }
         listener.shutdown();
     }
 
-    /// The abort hook leaves a consistent prefix; the retry replays the
-    /// stream idempotently and completes.
+    /// A joiner that already holds a prefix (recovered from its own WAL,
+    /// or left by an interrupted join) pulls only the rest, and a second
+    /// join pulls nothing.
     #[test]
-    fn interrupted_catch_up_replays_idempotently() {
-        let sys = system();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
-        let peer_store = Arc::new(ShardedPasswordStore::new(2));
-        for i in 0..16u32 {
-            let record = sys.enroll(&format!("user{i}"), &clicks(i)).unwrap();
-            peer_store.insert(record).unwrap();
+    fn join_pulls_only_what_the_joiner_lacks_and_a_rerun_pulls_nothing() {
+        let records = enrolled(16);
+        let mut listener = peer_with("node-a", &records);
+        let store = ShardedPasswordStore::new(2);
+        for record in &records[..5] {
+            store.insert(record.clone()).unwrap();
         }
-        let mut listener = spawn_replication_listener("node-a", Arc::clone(&peer_store)).unwrap();
-        let peers = BTreeMap::from([("node-a".to_string(), listener.addr())]);
-        let joiner_store = ShardedPasswordStore::new(2);
+        let replicator = joiner("node-b", &[("node-a", listener.addr())]);
+        let members = members(&["node-a", "node-b"]);
 
-        let aborted = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions {
-                abort_after_records: Some(5),
-                ..CatchupOptions::default()
-            },
-        );
-        assert!(!aborted.completed(), "an aborted stream is not caught-up");
-        assert_eq!(aborted.records_applied(), 5);
-        assert_eq!(joiner_store.len(), 5, "prefix applied, nothing torn");
+        let first = replicator.join_round(&members, &store);
+        assert!(first.failed_peers.is_empty(), "{first:?}");
+        assert_eq!(first.records_pulled, 11, "only the missing records");
+        assert_eq!(store.len(), 16);
 
-        let retried = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &joiner_store,
-            &CatchupOptions::default(),
-        );
-        assert!(retried.completed());
-        assert_eq!(joiner_store.len(), 16, "replay converges to the full set");
+        let second = replicator.join_round(&members, &store);
+        assert!(second.failed_peers.is_empty(), "{second:?}");
+        assert_eq!(second.records_pulled, 0);
+        assert_eq!(second.ranges_divergent, 0, "every digest now agrees");
+        assert_eq!(listener.served(), 11);
         listener.shutdown();
     }
 
-    /// A peer with nothing listening yields an incomplete (not panicking,
-    /// not half-counted) report.
+    /// A dead peer is listed in `failed_peers` and nothing is pulled.
     #[test]
-    fn catch_up_from_a_dead_peer_reports_incomplete() {
+    fn join_with_a_dead_peer_lists_it_and_pulls_nothing() {
         let dead_addr = TcpListener::bind(("127.0.0.1", 0))
             .unwrap()
             .local_addr()
             .unwrap();
-        let members: Vec<String> = vec!["node-a".into(), "node-b".into()];
-        let peers = BTreeMap::from([("node-a".to_string(), dead_addr)]);
         let store = ShardedPasswordStore::new(2);
-        let report = catch_up_from_peers(
-            "node-b",
-            &members,
-            &peers,
-            &store,
-            &CatchupOptions::default(),
-        );
-        assert!(!report.completed());
-        assert_eq!(report.records_applied(), 0);
-        assert_eq!(report.peers.len(), 1);
+        let round = joiner("node-b", &[("node-a", dead_addr)])
+            .join_round(&members(&["node-a", "node-b"]), &store);
+        assert_eq!(round.failed_peers, vec!["node-a".to_string()]);
+        assert_eq!(round.records_pulled, 0);
+    }
+
+    /// A record in the joiner's `(J, X)` pair that only a third member
+    /// holds (X lost it, or it was enrolled while J was away and landed
+    /// on the survivors' successors) still reaches the joiner: every peer
+    /// is asked about every pair the joiner belongs to.
+    #[test]
+    fn join_pulls_a_record_only_a_third_member_holds() {
+        let ids = ["node-a", "node-b", "node-c"];
+        let ring = HashRing::with_nodes(ids);
+        let records: Vec<StoredPassword> = enrolled(64)
+            .into_iter()
+            .filter(|r| ring.replica_pair(&r.username) == Some(("node-b", Some("node-a"))))
+            .collect();
+        assert!(!records.is_empty(), "64 names must hit the (b, a) pair");
+        let mut a = peer_with("node-a", &[]);
+        let mut c = peer_with("node-c", &records);
+        let store = ShardedPasswordStore::new(2);
+        let round = joiner("node-b", &[("node-a", a.addr()), ("node-c", c.addr())])
+            .join_round(&members(&ids), &store);
+        assert!(round.failed_peers.is_empty(), "{round:?}");
+        assert_eq!(round.records_pulled, records.len() as u64);
+        for record in &records {
+            assert!(store.get(&record.username).is_some(), "{}", record.username);
+        }
+        assert_eq!(c.served(), records.len() as u64);
+        a.shutdown();
+        c.shutdown();
     }
 
     /// One anti-entropy round repairs divergence in both directions: the

@@ -22,8 +22,9 @@
 //!   leg) — the stronger, *local* invariant: after a kill + rejoin under
 //!   load, the restarted node's own store holds **every** acked record
 //!   it backs under the full-membership ring (not merely "some replica
-//!   answers").  Variants interrupt the catch-up transfer mid-stream and
-//!   inject record-level divergence for anti-entropy to repair.
+//!   answers").  Variants delete records off the rejoined node and rerun
+//!   its join, sever a peer's replication before the rejoin, and inject
+//!   record-level divergence for anti-entropy to repair.
 //!
 //! Set `GP_CLUSTER_LOG_DIR` to keep per-node stores and the cluster
 //! event log under that directory for post-mortem (CI uploads it as an
@@ -31,7 +32,7 @@
 
 use gp_geometry::Point;
 use gp_netauth::cluster::{Cluster, ClusterClient};
-use gp_netauth::replication::{CatchupOptions, ReplicatorConfig};
+use gp_netauth::replication::ReplicatorConfig;
 use gp_netauth::server::ServerConfig;
 use gp_netauth::LoginDecision;
 use gp_passwords::HashRing;
@@ -331,10 +332,10 @@ fn a_restarted_node_rejoins_and_every_account_still_logs_in() {
 
 /// Rejoin completeness under load: enroll concurrently, kill a node, keep
 /// enrolling (the dead node's ranges shift to survivors), restart it —
-/// catch-up must complete before the node takes traffic — and then prove
+/// its join must complete before the node takes traffic — and then prove
 /// the restarted node's *local* store holds every acked record it backs
 /// under the full ring, including records enrolled while it was dead and
-/// records enrolled concurrently with the catch-up itself.
+/// records enrolled concurrently with the join itself.
 #[test]
 fn rejoin_completeness_after_catchup_under_load() {
     let (mut cluster, root) = cluster_of(3, "rejoin-complete");
@@ -347,12 +348,16 @@ fn rejoin_completeness_after_catchup_under_load() {
     cluster.kill(1);
     let at_kill = acked_count(&acked);
     // A solid chunk of traffic lands while node-1 is dead: these are the
-    // records catch-up must transfer back.
+    // records the join must pull back.
     wait_for_acks(&acked, at_kill + 40);
-    let report = cluster.restart(1).expect("restart from own durable dir");
+    let round = cluster.restart(1).expect("restart from own durable dir");
     assert!(
-        report.completed(),
-        "catch-up must complete against both live peers: {report:?}"
+        round.failed_peers.is_empty(),
+        "the join must complete against both live peers: {round:?}"
+    );
+    assert!(
+        round.records_pulled > 0,
+        "records enrolled while dead: {round:?}"
     );
     let at_restart = acked_count(&acked);
     wait_for_acks(&acked, at_restart + 20);
@@ -368,18 +373,37 @@ fn rejoin_completeness_after_catchup_under_load() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// An interrupted state transfer (the stream aborted mid-catch-up) leaves
-/// the joiner consistent: the applied prefix is durable, the range is
-/// *not* counted caught-up, and a retried catch-up replays idempotently
-/// to full completeness.
+/// The names in `names` that node `i` holds under the full-membership
+/// ring.
+fn backed_by(cluster: &Cluster, i: usize, names: &[String]) -> Vec<String> {
+    let ids: Vec<String> = (0..cluster.len())
+        .map(|j| cluster.node_id(j).to_string())
+        .collect();
+    let ring = HashRing::with_nodes(&ids);
+    names
+        .iter()
+        .filter(|name| ring.holds(name, cluster.node_id(i)))
+        .cloned()
+        .collect()
+}
+
+/// A rejoined node that loses records (an interrupted join, a damaged
+/// disk) is repaired by rerunning its join: the rerun pulls exactly the
+/// missing records — not the node's whole ranges — and a further rerun
+/// pulls nothing.
 #[test]
 fn rejoin_interrupted_catchup_retries_idempotently() {
-    let (mut cluster, root) = cluster_of(3, "rejoin-interrupt");
-    let members = cluster.members();
+    let root = data_root("rejoin-interrupt");
+    // No background rounds: the record counts below must be exact.
+    let repl_config = ReplicatorConfig {
+        anti_entropy_interval: Duration::ZERO,
+        ..ReplicatorConfig::default()
+    };
+    let mut cluster = Cluster::spawn(3, ServerConfig::fast_for_tests(), repl_config, &root)
+        .expect("spawn cluster");
 
-    // A settled population, no concurrent load: the record counts below
-    // must be exact.
-    let mut client = ClusterClient::new(&members);
+    // A settled population, no concurrent load.
+    let mut client = ClusterClient::new(&cluster.members());
     let mut names = Vec::new();
     for i in 0..40u32 {
         let name = format!("steady-user{i}");
@@ -387,36 +411,69 @@ fn rejoin_interrupted_catchup_retries_idempotently() {
         names.push(name);
     }
     cluster.kill(2);
-    // Enroll more while node-2 is dead — the records catch-up must carry.
+    // Enroll more while node-2 is dead — the records the join must pull.
     let mut client = ClusterClient::new(&cluster.members());
     for i in 0..40u32 {
         let name = format!("while-dead-user{i}");
         client.enroll(&name, &clicks_for(&name)).unwrap();
         names.push(name);
     }
+    let while_dead = backed_by(&cluster, 2, &names[40..]).len() as u64;
 
-    // Interrupt the transfer after 3 records: the node comes up gated on
-    // an incomplete report, with exactly the applied prefix extra.
-    let aborted = cluster
-        .restart_with_catchup(
-            2,
-            CatchupOptions {
-                abort_after_records: Some(3),
-                ..CatchupOptions::default()
-            },
-        )
-        .expect("restart itself must succeed");
-    assert!(
-        !aborted.completed(),
-        "an aborted stream must not count as caught-up: {aborted:?}"
+    let joined = cluster.restart(2).expect("restart from own durable dir");
+    assert!(joined.failed_peers.is_empty(), "{joined:?}");
+    assert_eq!(
+        joined.records_pulled, while_dead,
+        "the join pulls exactly what node-2 missed while dead: {joined:?}"
     );
 
-    // Retry on the live node: idempotent replay converges to complete.
-    let retried = cluster.catch_up(2, CatchupOptions::default());
-    assert!(retried.completed(), "retried catch-up: {retried:?}");
+    // Lose k of node-2's backed records, then rerun its join.
+    let store = cluster.store(2).expect("node-2 is live");
+    let lost: Vec<String> = backed_by(&cluster, 2, &names)
+        .into_iter()
+        .step_by(5)
+        .take(4)
+        .collect();
+    assert_eq!(lost.len(), 4, "node-2 must back at least 16 of 80 accounts");
+    for name in &lost {
+        assert!(store.remove(name).expect("remove on node-2"), "{name}");
+    }
+    cluster.log_event(&format!("harness: removed {lost:?} off node-2"));
+
+    let rerun = cluster.catch_up(2).expect("node-2 is live");
+    assert!(rerun.failed_peers.is_empty(), "{rerun:?}");
+    assert_eq!(rerun.records_pulled, lost.len() as u64, "{rerun:?}");
+    let quiet = cluster.catch_up(2).expect("node-2 is live");
+    assert_eq!(quiet.records_pulled, 0, "{quiet:?}");
 
     verify_every_acked_account(&cluster, &Arc::new(Mutex::new(names.clone())));
     assert_local_replica_complete(&cluster, 2, &names);
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A rejoin that cannot ask every member is reported incomplete: after
+/// node-1's replication listener is severed, node-2's join has no way to
+/// consult node-1's copies, and says so by naming node-1.
+#[test]
+fn rejoin_with_a_severed_peer_is_reported_incomplete() {
+    let (mut cluster, root) = cluster_of(3, "rejoin-severed");
+    let mut client = ClusterClient::new(&cluster.members());
+    for i in 0..20u32 {
+        let name = format!("user{i}");
+        client.enroll(&name, &clicks_for(&name)).unwrap();
+    }
+    cluster.kill(2);
+    cluster.sever_replication(1);
+
+    let round = cluster.restart(2).expect("restart from own durable dir");
+    assert_eq!(
+        round.failed_peers,
+        vec![cluster.node_id(1).to_string()],
+        "{round:?}"
+    );
+    let rerun = cluster.catch_up(2).expect("node-2 is live");
+    assert_eq!(rerun.failed_peers, round.failed_peers, "{rerun:?}");
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }

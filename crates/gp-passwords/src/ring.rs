@@ -187,9 +187,8 @@ impl HashRing {
     }
 
     /// Whether `node` holds a copy of `key` under this membership — i.e.
-    /// it is the key's owner or its backup.  This is the predicate a
-    /// (re)joining node's catch-up transfer filters by: every peer
-    /// streams exactly the records the joiner now backs.
+    /// it is the key's owner or its backup: `key` is in a replica-pair
+    /// range (see [`HashRing::replica_pair`]) that `node` belongs to.
     pub fn holds(&self, key: &str, node: &str) -> bool {
         self.successors(key, 2).contains(&node)
     }

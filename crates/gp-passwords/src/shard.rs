@@ -824,27 +824,6 @@ impl ShardedPasswordStore {
         records
     }
 
-    /// The stored records whose account name satisfies `range`, sorted by
-    /// name.  Each shard is scanned under its own read lock (shard-level
-    /// consistency: a record is either in the result or not, never torn),
-    /// which is what a catch-up transfer streams to a (re)joining node.
-    pub fn records_in_range(&self, range: impl Fn(&str) -> bool) -> Vec<StoredPassword> {
-        let mut records: Vec<StoredPassword> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.accounts
-                    .read()
-                    .values()
-                    .filter(|entry| range(&entry.stored.username))
-                    .map(|entry| entry.stored.clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        records.sort_by(|a, b| a.username.cmp(&b.username));
-        records
-    }
-
     /// `(username, record_digest)` pairs for every account in `range`,
     /// sorted by name — the record-level summary two replicas exchange
     /// (and [`diff_range_entries`] merges) once their [`RangeDigest`]s
